@@ -237,7 +237,7 @@ def _cmd_construct_erdos(args):
         "normalization": "cell size 1/p",
     }
     if a.n >= 3:
-        results["min_twice_area"] = int(min_area_triangle(a, mode="exhaustive").twice_area)
+        results["min_twice_area"] = int(min_area_triangle(a).twice_area)
     if args.out:
         save_grid(a, args.out)
         results["path"] = args.out

@@ -246,5 +246,4 @@ def baseline_length(K: int, n: int) -> int:
     """ceil(log2 C(K^2, n)): bits needed to index an arbitrary arrangement."""
     if n > K * K:
         raise ValueError("n exceeds the number of grid cells")
-    domain = comb(K * K, n)
-    return 0 if domain == 1 else ceil_log2(domain)
+    return ceil_log2(comb(K * K, n))

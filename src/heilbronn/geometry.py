@@ -16,6 +16,7 @@ that convention a nondegenerate grid triangle has area at least
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -204,14 +205,15 @@ def normalize_area(twice_area, K: int) -> float:
     return twice_area / (2 * (K - 1) ** 2)
 
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=4)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All C(n-1, 2) pairs (j, k), j < k, of xs[1:] in row-major order.
 
-
-def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _TRIU_CACHE.get(m)
-    if got is None:
-        got = _TRIU_CACHE[m] = np.triu_indices(m, 1)
-    return got
+    Pivot i's pairs of xs[i+1:] are this table's tail from offset
+    i*(n-2) - i*(i-1)//2, shifted down by i; one table per n keeps the
+    cache at O(n^2) memory.
+    """
+    return np.triu_indices(n - 1, 1)
 
 
 def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
@@ -237,20 +239,20 @@ def _min_triple_fast(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, obj
     """Vectorized per-pivot scan; identical values and tie-breaks by
     construction (same formula, same operand order, row-major pair order)."""
     n = len(xs)
+    jt, kt = _pair_table(n)
+    tx, ty = xs[1:], ys[1:]
     best = None
     best_ijk = None
     for i in range(n - 2):
-        m = n - 1 - i
-        jj, kk = _triu(m)
-        tx = xs[i + 1 :]
-        ty = ys[i + 1 :]
+        start = i * (n - 2) - i * (i - 1) // 2
+        jj, kk = jt[start:], kt[start:]
         cross = (tx[jj] - xs[i]) * (ty[kk] - ys[i]) - (ty[jj] - ys[i]) * (tx[kk] - xs[i])
         np.abs(cross, out=cross)
         pos = int(np.argmin(cross))
         v = cross[pos]
         if best is None or v < best:
             best = v
-            best_ijk = (i, i + 1 + int(jj[pos]), i + 1 + int(kk[pos]))
+            best_ijk = (i, 1 + int(jj[pos]), 1 + int(kk[pos]))
     return best_ijk[0], best_ijk[1], best_ijk[2], best
 
 

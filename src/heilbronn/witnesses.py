@@ -114,15 +114,15 @@ class InterceptWindow:
 
 
 def find_collinear_triple(a: GridArrangement) -> Optional[tuple[int, int, int]]:
-    """Lexicographically first collinear index triple, or None."""
-    pts = a.points
-    n = len(pts)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                if twice_signed_area(pts[i], pts[j], pts[k]) == 0:
-                    return (i, j, k)
-    return None
+    """Lexicographically first collinear index triple, or None.
+
+    A collinear triple has twice-area 0, the smallest possible, and the
+    triangle search breaks ties to the lexicographically smallest triple.
+    """
+    if a.n < 3:
+        return None
+    rep = min_area_triangle(a)
+    return rep.indices if rep.twice_area == 0 else None
 
 
 def find_shared_row_pair(a: GridArrangement) -> Optional[tuple[int, int]]:
@@ -139,24 +139,8 @@ def find_shared_row_pair(a: GridArrangement) -> Optional[tuple[int, int]]:
 # shared codec helpers
 
 
-def _pair_rank(i: int, j: int, m: int) -> int:
-    """Rank of pair (i, j), i < j, in lexicographic order over range(m)."""
-    return comb(m, 2) - comb(m - i, 2) + (j - i - 1)
-
-
-def _pair_unrank(rank: int, m: int) -> tuple[int, int]:
-    i = 0
-    while rank >= m - 1 - i:
-        rank -= m - 1 - i
-        i += 1
-        if i >= m - 1:
-            raise DecodeError("pair index out of range")
-    return i, i + 1 + rank
-
-
 def _width_sub_rank(K: int, n: int) -> int:
-    d = comb(K * K, n - 1)
-    return 0 if d == 1 else ceil_log2(d)
+    return ceil_log2(comb(K * K, n - 1))
 
 
 def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> tuple[GridPoint, ...]:
@@ -167,6 +151,15 @@ def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> tuple[GridPoint,
     except ValueError as exc:
         raise DecodeError(f"sub-arrangement rank out of range at bit {reader.pos}: {exc}") from None
     return tuple(GridPoint(c % K, c // K) for c in cells)
+
+
+def _read_pair(reader: BitReader, m: int) -> tuple[int, int]:
+    """Read a pair rank over range(m) and return the pair (i, j), i < j."""
+    domain = comb(m, 2)
+    rank = reader.read_uint(ceil_log2(domain))
+    if rank >= domain:
+        raise DecodeError(f"pair rank {rank} out of range at bit {reader.pos}")
+    return unrank_combination(rank, 2, m)
 
 
 def _sub_rank_bits(a: GridArrangement, drop: int) -> BitString:
@@ -241,14 +234,10 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
 
     sub_bits = _sub_rank_bits(a, k)
     m = a.n - 1
-    pair_domain = comb(m, 2)
-    pair_width = 0 if pair_domain == 1 else ceil_log2(pair_domain)
-    pair_bits = BitString.from_int(_pair_rank(i, j, m), pair_width)
+    pair_bits = BitString.from_int(rank_combination((i, j), m), ceil_log2(comb(m, 2)))
 
     cands = _line_candidates(P, Q, a.K)
-    pos = cands.index(R)
-    r_width = 0 if len(cands) == 1 else ceil_log2(len(cands))
-    r_bits = BitString.from_int(pos, r_width)
+    r_bits = BitString.from_int(cands.index(R), ceil_log2(len(cands)))
 
     payload = sub_bits + pair_bits + r_bits
     return WitnessReport("collinear", payload, len(payload), baseline_length(a.K, a.n))
@@ -257,17 +246,12 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
 def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
     reader = BitReader(payload)
     sub = _read_sub_arrangement(reader, K, n)
-    m = n - 1
-    pair_domain = comb(m, 2)
-    pair_width = 0 if pair_domain == 1 else ceil_log2(pair_domain)
-    pr = reader.read_uint(pair_width)
-    if pr >= pair_domain:
-        raise DecodeError(f"pair rank {pr} out of range at bit {reader.pos}")
-    i, j = _pair_unrank(pr, m)
+    i, j = _read_pair(reader, n - 1)
     P, Q = sub[i], sub[j]
     cands = _line_candidates(P, Q, K)
-    r_width = 0 if len(cands) == 1 else ceil_log2(len(cands))
-    pos = reader.read_uint(r_width)
+    if not cands:
+        raise DecodeError(f"line through pebbles {i} and {j} holds no third grid point")
+    pos = reader.read_uint(ceil_log2(len(cands)))
     if pos >= len(cands):
         raise DecodeError(f"line position {pos} out of range at bit {reader.pos}")
     reader.expect_end()
@@ -289,13 +273,10 @@ def encode_rowline_witness(a: GridArrangement) -> WitnessReport:
     P, R = pts[i], pts[j]
 
     sub_bits = _sub_rank_bits(a, j)
-    m = a.n - 1
-    p_width = 0 if m == 1 else ceil_log2(m)
-    p_bits = BitString.from_int(i, p_width)
+    p_bits = BitString.from_int(i, ceil_log2(a.n - 1))
 
     pos = R.x if R.x < P.x else R.x - 1
-    r_width = 0 if a.K - 1 == 1 else ceil_log2(a.K - 1)
-    r_bits = BitString.from_int(pos, r_width)
+    r_bits = BitString.from_int(pos, ceil_log2(a.K - 1))
 
     payload = sub_bits + p_bits + r_bits
     return WitnessReport("rowline", payload, len(payload), baseline_length(a.K, a.n))
@@ -305,13 +286,11 @@ def _decode_rowline(payload: BitString, K: int, n: int) -> GridArrangement:
     reader = BitReader(payload)
     sub = _read_sub_arrangement(reader, K, n)
     m = n - 1
-    p_width = 0 if m == 1 else ceil_log2(m)
-    pi = reader.read_uint(p_width)
+    pi = reader.read_uint(ceil_log2(m))
     if pi >= m:
         raise DecodeError(f"pebble index {pi} out of range at bit {reader.pos}")
     P = sub[pi]
-    r_width = 0 if K - 1 == 1 else ceil_log2(K - 1)
-    pos = reader.read_uint(r_width)
+    pos = reader.read_uint(ceil_log2(K - 1))
     if pos >= K - 1:
         raise DecodeError(f"row cell index {pos} out of range at bit {reader.pos}")
     x = pos if pos < P.x else pos + 1
@@ -452,9 +431,8 @@ def encode_small_triangle_witness(
     pi = p_idx - (1 if p_idx > r_idx else 0)
     qi = q_idx - (1 if q_idx > r_idx else 0)
     m = a.n - 1
-    pair_domain = comb(m, 2)
-    pair_width = 0 if pair_domain == 1 else ceil_log2(pair_domain)
-    pair_bits = BitString.from_int(_pair_rank(min(pi, qi), max(pi, qi), m), pair_width)
+    pair = (min(pi, qi), max(pi, qi))
+    pair_bits = BitString.from_int(rank_combination(pair, m), ceil_log2(comb(m, 2)))
 
     index = _triangle_candidate_index(P, Q, R)
     idx_bits = sd_prime(nat_to_string(index))
@@ -466,13 +444,7 @@ def encode_small_triangle_witness(
 def _decode_small_triangle(payload: BitString, K: int, n: int) -> GridArrangement:
     reader = BitReader(payload)
     sub = _read_sub_arrangement(reader, K, n)
-    m = n - 1
-    pair_domain = comb(m, 2)
-    pair_width = 0 if pair_domain == 1 else ceil_log2(pair_domain)
-    pr = reader.read_uint(pair_width)
-    if pr >= pair_domain:
-        raise DecodeError(f"pair rank {pr} out of range at bit {reader.pos}")
-    pi, qi = _pair_unrank(pr, m)
+    pi, qi = _read_pair(reader, n - 1)
     P, Q = sub[pi], sub[qi]
     index = string_to_nat(sd_unprime(reader))
     R = _triangle_candidate_point(P, Q, index)
@@ -646,10 +618,7 @@ def _frac_ceil(x: Fraction) -> int:
 
 def _theorem2_widths(K: int, n: int) -> tuple[int, int, int]:
     header_w = 2 * ceil_log2(K - 1) + 1  # fits any twice-area up to (K-1)^2
-    rows_domain = comb(K, n)
-    rows_w = 0 if rows_domain == 1 else ceil_log2(rows_domain)
-    col_w = ceil_log2(K)
-    return header_w, rows_w, col_w
+    return header_w, ceil_log2(comb(K, n)), ceil_log2(K)
 
 
 def encode_theorem2(a: GridArrangement) -> WitnessReport:
@@ -768,6 +737,9 @@ _DECODERS = {
     "theorem2": _decode_theorem2,
 }
 
+# fewest pebbles each witness structure needs
+_MIN_PEBBLES = {"collinear": 3, "rowline": 2, "small_triangle": 3, "theorem2": 2}
+
 
 def decode_witness(kind: str, payload: BitString, K: int, n: int) -> GridArrangement:
     """Reconstruct the arrangement a witness payload encodes.
@@ -777,6 +749,9 @@ def decode_witness(kind: str, payload: BitString, K: int, n: int) -> GridArrange
     """
     if kind not in _DECODERS:
         raise ValueError(f"unknown witness kind {kind!r}")
+    max_n = K if kind == "theorem2" else K * K  # theorem-2 pebbles occupy distinct rows
+    if K < 2 or not _MIN_PEBBLES[kind] <= n <= max_n:
+        raise DecodeError(f"no {kind} witness exists for K={K}, n={n}")
     return _DECODERS[kind](payload, K, n)
 
 

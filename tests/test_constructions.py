@@ -27,6 +27,11 @@ class TestErdosPrime:
         assert {(p.x, p.y) for p in a.points} == {(0, 0), (1, 1), (2, 1)}
         assert find_collinear_triple(a) is None
 
+    def test_p2_builds(self):
+        a = erdos_prime(2)
+        assert {(p.x, p.y) for p in a.points} == {(0, 0), (1, 1)}
+        assert find_collinear_triple(a) is None
+
     @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
     def test_no_collinear_and_unit_twice_area(self, p):
         a = erdos_prime(p)

@@ -10,12 +10,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
+from heilbronn.coding import rank_combination, unrank_combination
 from heilbronn.geometry import GridPoint
 from heilbronn.rng import stream_rng
 from heilbronn.witnesses import (
     ForbiddingLineSet,
-    _pair_rank,
-    _pair_unrank,
     _triangle_candidate_index,
     _triangle_candidate_point,
     excluded_columns,
@@ -110,5 +109,5 @@ class TestPairRankOracle:
             pairs = list(combinations(range(m), 2))
             assert len(pairs) == comb(m, 2)
             for rank, (i, j) in enumerate(pairs):
-                assert _pair_rank(i, j, m) == rank
-                assert _pair_unrank(rank, m) == (i, j)
+                assert rank_combination((i, j), m) == rank
+                assert unrank_combination(rank, 2, m) == (i, j)

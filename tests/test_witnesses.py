@@ -1,15 +1,20 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heilbronn.coding import BitString, DecodeError, baseline_length, ceil_log2
+from heilbronn.coding import BitString, DecodeError, baseline_length, ceil_log2, rank_combination
 from heilbronn.geometry import (
     GridArrangement,
     GridPoint,
     lattice_points_half_open,
     min_area_triangle,
+    twice_signed_area,
 )
 from heilbronn.witnesses import (
+    WITNESS_KINDS,
     decode_witness,
     encode_collinear_witness,
     encode_rowline_witness,
@@ -39,6 +44,23 @@ class TestFindCollinear:
     def test_corners_absent(self):
         a = GridArrangement.from_points(4, [(0, 0), (3, 0), (0, 3), (3, 3)])
         assert find_collinear_triple(a) is None
+
+    def test_fewer_than_three_points(self):
+        assert find_collinear_triple(GridArrangement.from_points(4, [])) is None
+        assert find_collinear_triple(GridArrangement.from_points(4, [(1, 2)])) is None
+        assert find_collinear_triple(GridArrangement.from_points(4, [(0, 0), (3, 3)])) is None
+
+    def test_first_of_several_on_dense_grids(self):
+        # K=5, n=8 arrangements often hold several collinear triples; the
+        # search must return the first in lexicographic index order
+        several = 0
+        for t in range(60):
+            a = random_arrangement(5, 8, seed=11, stream=t)
+            hits = [ijk for ijk in combinations(range(a.n), 3)
+                    if twice_signed_area(*(a.points[i] for i in ijk)) == 0]
+            several += len(hits) > 1
+            assert find_collinear_triple(a) == (hits[0] if hits else None)
+        assert several >= 20
 
     def test_rare_on_big_grids(self):
         # Monte Carlo oracle: collinear triples are rare at K = 2^20
@@ -203,6 +225,33 @@ class TestDecodeErrors:
         payload = encode_collinear_witness(a).payload
         with pytest.raises(DecodeError, match="trailing"):
             decode_witness("collinear", payload + BitString("0"), 1024, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(WITNESS_KINDS),
+        K=st.integers(min_value=2, max_value=8),
+        n=st.integers(min_value=1, max_value=10),
+        bits=st.text(alphabet="01", max_size=64),
+    )
+    def test_random_payloads_decode_or_raise_decode_error(self, kind, K, n, bits):
+        try:
+            a = decode_witness(kind, BitString(bits), K, n)
+        except DecodeError:
+            return
+        assert isinstance(a, GridArrangement)
+        assert (a.K, a.n) == (K, n)
+        assert all(0 <= p.x < K and 0 <= p.y < K for p in a.points)
+
+    def test_collinear_pair_without_third_grid_point(self):
+        # sub-arrangement {(0, 0), (1, 2)} (cells 0 and 7) on K=3: line(P, Q)
+        # holds no other grid point, so no position for R can be decoded
+        payload = BitString.from_int(rank_combination((0, 7), 9), ceil_log2(comb(9, 2)))
+        with pytest.raises(DecodeError, match="no third grid point"):
+            decode_witness("collinear", payload, 3, 3)
+
+    def test_theorem2_more_pebbles_than_rows(self):
+        with pytest.raises(DecodeError, match="K=4, n=6"):
+            decode_witness("theorem2", BitString("0" * 40), 4, 6)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
