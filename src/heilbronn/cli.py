@@ -39,6 +39,7 @@ from .montecarlo import (
     tail_probability,
 )
 from .witnesses import (
+    WITNESS_KINDS,
     encode_collinear_witness,
     encode_rowline_witness,
     encode_small_triangle_witness,
@@ -64,6 +65,14 @@ def _default_jobs() -> int:
         return 1
 
 
+def _jobs(text: str) -> int:
+    """--jobs value: an integer of at least 1 (an upper bound on workers)."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="heilbronn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -85,7 +94,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--ns", required=True, help="comma-separated point counts")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--trials", type=int, help="fixed trial count (default: schedule)")
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=_jobs, default=_default_jobs())
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_scan)
 
@@ -94,7 +103,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--threshold", type=float, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=_jobs, default=_default_jobs())
     sp.set_defaults(func=_cmd_tail)
 
     sp = sub.add_parser("construct-erdos", help="quadratic-residue arrangement on a prime grid")
@@ -107,7 +116,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--steps", type=int, default=4000)
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=_jobs, default=_default_jobs())
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_optimize)
 
@@ -123,7 +132,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_unrank)
 
     sp = sub.add_parser("witness", help="encode/decode compression witnesses")
-    sp.add_argument("kind", choices=("collinear", "rowline", "small_triangle", "theorem2"))
+    sp.add_argument("kind", choices=WITNESS_KINDS)
     sp.add_argument("action", choices=("encode", "decode"))
     sp.add_argument("--file", "--grid", dest="file", required=True,
                     help="grid file (encode) or witness file (decode)")

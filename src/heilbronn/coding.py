@@ -51,8 +51,6 @@ class BitString:
         return BitString(self.bits + other.bits)
 
     def __getitem__(self, idx) -> "BitString":
-        if isinstance(idx, slice):
-            return BitString(self.bits[idx])
         return BitString(self.bits[idx])
 
     def __iter__(self):

@@ -9,6 +9,7 @@ best achievable minimum area at small n.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -127,8 +128,9 @@ def optimize_heilbronn(
         raise ValueError("optimizer supports 3 <= n <= 16")
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be positive")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, restarts)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_restart, [n] * restarts, [seed] * restarts,
                                  range(restarts), [steps] * restarts))
     else:

@@ -12,8 +12,10 @@ points in the unit square.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum, log2
 from typing import Callable, Optional, Sequence
 
@@ -127,12 +129,14 @@ def _trial_areas(
     """Per-trial smallest areas, in trial order regardless of jobs."""
     if sampler is not None:
         return [min_area_triangle(sampler(n, seed, t), mode="fast").area for t in range(trials)]
-    if jobs <= 1 or trials < 4 * jobs:
+    # one chunk of at least 4 trials per worker, at most one worker per CPU
+    workers = min(jobs, os.cpu_count() or 1, trials // 4)
+    if workers <= 1:
         return _areas_chunk(n, seed, 0, trials)
-    bounds = [trials * w // jobs for w in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_areas_chunk, n, seed, bounds[w], bounds[w + 1]) for w in range(jobs)
+            pool.submit(_areas_chunk, n, seed, bounds[w], bounds[w + 1]) for w in range(workers)
         ]
         out: list[float] = []
         for fut in futures:  # chunk order == trial order
@@ -239,17 +243,11 @@ def degenerate_structure_stats(K: int, n: int, trials: int, seed: int) -> Degene
     return DegeneracyStats(K, n, trials, coll / trials, shared / trials, seed)
 
 
-_BASELINE_CACHE: dict[tuple[int, int, int], list[float]] = {}
-
-
+@lru_cache(maxsize=8)
 def baseline_areas(n: int, trials: int, seed: int) -> list[float]:
     """Sorted baseline distribution of A for uniform random n-point sets;
-    cached per (n, trials, seed) for reproducible percentiles."""
-    key = (n, trials, seed)
-    got = _BASELINE_CACHE.get(key)
-    if got is None:
-        got = _BASELINE_CACHE[key] = sorted(_trial_areas(n, trials, seed))
-    return got
+    the last few (n, trials, seed) are cached for reproducible percentiles."""
+    return sorted(_trial_areas(n, trials, seed))
 
 
 def analyze_pointset(

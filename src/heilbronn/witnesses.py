@@ -11,7 +11,7 @@ family of uniquely decodable encodings, at most a 2^-s fraction of all
 C(K^2, n) arrangements can be compressed by s or more bits.
 
 Index accounting is exact and big-integer throughout; all geometric
-comparisons in codec paths are exact (integers or Fractions), never float.
+comparisons in codec paths use exact integer arithmetic, never float.
 """
 
 from __future__ import annotations
@@ -52,8 +52,11 @@ class WitnessReport:
 
     kind: str
     payload: BitString
-    witness_length: int
     baseline_length: int
+
+    @property
+    def witness_length(self) -> int:
+        return len(self.payload)
 
     @property
     def savings(self) -> int:
@@ -175,37 +178,23 @@ def _insert_point(K: int, pts: Sequence[GridPoint], extra: GridPoint) -> GridArr
         raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
 
 
-def _line_candidates(P: GridPoint, Q: GridPoint, K: int) -> list[GridPoint]:
-    """Grid points on line(P, Q) inside [0, K-1]^2, excluding P and Q,
-    ordered along the lexicographically positive primitive direction."""
+def _line_slots(P: GridPoint, Q: GridPoint, K: int) -> tuple[int, int, int, int, int]:
+    """Line(P, Q) as P + t*(dx, dy), (dx, dy) its lexicographically positive
+    primitive direction: returns (dx, dy, t_lo, t_hi, t_Q), where
+    [t_lo, t_hi] are the parameters of its grid points inside [0, K-1]^2,
+    P sits at t = 0 and Q at t = t_Q."""
     dx, dy = Q.x - P.x, Q.y - P.y
-    g = gcd(abs(dx), abs(dy))
-    dx //= g
-    dy //= g
+    g = gcd(dx, dy)
+    dx, dy, t_Q = dx // g, dy // g, g
     if dx < 0 or (dx == 0 and dy < 0):
-        dx, dy = -dx, -dy
-
-    def axis_range(p0: int, d0: int) -> tuple:
-        if d0 == 0:
-            return (None, None)
-        lo, hi = -p0, K - 1 - p0
-        if d0 > 0:
-            return (_ceil_div(lo, d0), hi // d0)
-        return (_ceil_div(hi, d0), lo // d0)
-
-    tlo, thi = None, None
+        dx, dy, t_Q = -dx, -dy, -g
+    t_lo, t_hi = -K, K  # a nonzero component keeps |t| < K; the loop tightens this
     for p0, d0 in ((P.x, dx), (P.y, dy)):
-        lo, hi = axis_range(p0, d0)
-        if lo is None:
-            continue
-        tlo = lo if tlo is None else max(tlo, lo)
-        thi = hi if thi is None else min(thi, hi)
-    out = []
-    for t in range(tlo, thi + 1):
-        pt = GridPoint(P.x + t * dx, P.y + t * dy)
-        if pt != P and pt != Q:
-            out.append(pt)
-    return out
+        if d0 > 0:
+            t_lo, t_hi = max(t_lo, _ceil_div(-p0, d0)), min(t_hi, (K - 1 - p0) // d0)
+        elif d0 < 0:
+            t_lo, t_hi = max(t_lo, _ceil_div(K - 1 - p0, d0)), min(t_hi, -p0 // d0)
+    return dx, dy, t_lo, t_hi, t_Q
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -236,11 +225,14 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
     m = a.n - 1
     pair_bits = BitString.from_int(rank_combination((i, j), m), ceil_log2(comb(m, 2)))
 
-    cands = _line_candidates(P, Q, a.K)
-    r_bits = BitString.from_int(cands.index(R), ceil_log2(len(cands)))
+    # R's slot on the line, not counting the slots of P and Q below it
+    dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, a.K)
+    t_R = (R.x - P.x) // dx if dx else (R.y - P.y) // dy
+    pos = t_R - t_lo - (t_R > 0) - (t_R > t_Q)
+    r_bits = BitString.from_int(pos, ceil_log2(t_hi - t_lo - 1))
 
     payload = sub_bits + pair_bits + r_bits
-    return WitnessReport("collinear", payload, len(payload), baseline_length(a.K, a.n))
+    return WitnessReport("collinear", payload, baseline_length(a.K, a.n))
 
 
 def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
@@ -248,14 +240,14 @@ def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
     sub = _read_sub_arrangement(reader, K, n)
     i, j = _read_pair(reader, n - 1)
     P, Q = sub[i], sub[j]
-    cands = _line_candidates(P, Q, K)
-    if not cands:
+    dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, K)
+    if t_hi - t_lo == 1:
         raise DecodeError(f"line through pebbles {i} and {j} holds no third grid point")
-    pos = reader.read_uint(ceil_log2(len(cands)))
-    if pos >= len(cands):
-        raise DecodeError(f"line position {pos} out of range at bit {reader.pos}")
+    pos = reader.read_uint(ceil_log2(t_hi - t_lo - 1))
+    # slots are counted from t_lo; P and Q hold slots -t_lo and t_Q - t_lo
+    t = t_lo + _unrank_allowed(pos, sorted((-t_lo, t_Q - t_lo)), t_hi - t_lo + 1)
     reader.expect_end()
-    return _insert_point(K, sub, cands[pos])
+    return _insert_point(K, sub, GridPoint(P.x + t * dx, P.y + t * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ def encode_rowline_witness(a: GridArrangement) -> WitnessReport:
     r_bits = BitString.from_int(pos, ceil_log2(a.K - 1))
 
     payload = sub_bits + p_bits + r_bits
-    return WitnessReport("rowline", payload, len(payload), baseline_length(a.K, a.n))
+    return WitnessReport("rowline", payload, baseline_length(a.K, a.n))
 
 
 def _decode_rowline(payload: BitString, K: int, n: int) -> GridArrangement:
@@ -438,7 +430,7 @@ def encode_small_triangle_witness(
     idx_bits = sd_prime(nat_to_string(index))
 
     payload = sub_bits + pair_bits + idx_bits
-    return WitnessReport("small_triangle", payload, len(payload), baseline_length(a.K, a.n))
+    return WitnessReport("small_triangle", payload, baseline_length(a.K, a.n))
 
 
 def _decode_small_triangle(payload: BitString, K: int, n: int) -> GridArrangement:
@@ -493,16 +485,6 @@ def _claim_rect_pairs(
     return lines, segs, len(top), len(bot)
 
 
-def _bottom_intercept_in_square(x1: int, y1: int, x2: int, y2: int, row: int, S: int) -> bool:
-    """Exact test: does line((x1,y1),(x2,y2)) meet grid row `row` within
-    x in [0, S]?  Requires y1 != y2."""
-    dy = y1 - y2
-    num = x2 * dy + (row - y2) * (x1 - x2)
-    if dy < 0:
-        num, dy = -num, -dy
-    return 0 <= num <= S * dy
-
-
 def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
     """Certified forbidding lines: all pairs with one upper-half pebble in
     the top rectangle and one in the bottom rectangle of the middle
@@ -513,12 +495,11 @@ def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
     upper = [(idx, p) for idx, p in enumerate(a.points) if p.y > split]
     lines, segs, ct, cb = _claim_rect_pairs(upper, a.K)
     S = a.K - 1
-    for (x1, y1), (x2, y2) in segs:
-        if not (
-            _bottom_intercept_in_square(x1, y1, x2, y2, 0, S)
-            and _bottom_intercept_in_square(x1, y1, x2, y2, split, S)
-        ):
-            raise AssertionError("rectangle pair line failed the crossing check")
+    for seg in segs:
+        for row in (0, split):
+            num, den = _intercept(seg, row)
+            if not 0 <= num <= S * den:
+                raise AssertionError("rectangle pair line failed the crossing check")
     return ForbiddingLineSet(a.K, split, tuple(lines), tuple(segs), ct, cb)
 
 
@@ -549,10 +530,13 @@ def count_forbidding_lines(a: GridArrangement) -> int:
     return int(np.count_nonzero(crosses(0) & crosses(split)))
 
 
-def _intercept(seg: tuple[tuple[int, int], tuple[int, int]], row: int) -> Fraction:
-    """x-coordinate (column units, exact) of a segment's line at grid row."""
+def _intercept(seg: tuple[tuple[int, int], tuple[int, int]], row: int) -> tuple[int, int]:
+    """Column (exact, in column units) where a segment's line meets grid
+    row ``row``, as the quotient num/den with den > 0.  Requires a
+    non-horizontal segment."""
     (x1, y1), (x2, y2) = seg
-    return Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2)
+    num, den = x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2
+    return (-num, -den) if den < 0 else (num, den)
 
 
 def intercept_spacings(
@@ -569,7 +553,8 @@ def intercept_spacings(
     if not f.segments:
         raise ValueError("forbidding line set is empty")
     S = f.K - 1
-    xs = sorted(_intercept(seg, row) / S for seg in f.segments)
+    quotients = (_intercept(seg, row) for seg in f.segments)
+    xs = sorted(Fraction(num, den * S) for num, den in quotients)
     spacings = tuple(b - a for a, b in zip(xs, xs[1:]))
     window = None
     D = None
@@ -585,31 +570,17 @@ def intercept_spacings(
 
 def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> set[int]:
     """Grid columns of ``row`` strictly within distance 2A of any stored
-    line's intercept, where A = T_min / (2(K-1)^2).  Exact rationals."""
+    line's intercept, where A = T_min / (2(K-1)^2).  Exact integers."""
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
     S = K - 1
-    radius = Fraction(T_min, S)  # 2A in column units
     out: set[int] = set()
-    if radius == 0:
-        return out
     for seg in f.segments:
-        x = _intercept(seg, row)
-        lo, hi = x - radius, x + radius
-        c_lo = max(0, _frac_floor(lo) + 1)
-        c_hi = min(S, _frac_ceil(hi) - 1)
-        for c in range(c_lo, c_hi + 1):
-            if abs(c - x) < radius:
-                out.add(c)
+        # intercept num/den +- radius T_min/S, over the common denominator
+        num, den = _intercept(seg, row)
+        lo, hi, q = num * S - T_min * den, num * S + T_min * den, den * S
+        out.update(range(max(0, lo // q + 1), min(S, _ceil_div(hi, q) - 1) + 1))
     return out
-
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +642,7 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
         lower_bits = lower_bits + sd_prime(nat_to_string(rank))
 
     payload = header + rows_bits + upper_bits + lower_bits
-    return WitnessReport("theorem2", payload, len(payload), baseline_length(K, n))
+    return WitnessReport("theorem2", payload, baseline_length(K, n))
 
 
 def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
@@ -713,10 +684,10 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
         raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
 
 
-def _unrank_allowed(rank: int, excl_sorted: list[int], K: int) -> int:
-    """rank-th column (0-based) of range(K) minus the excluded set."""
-    if rank >= K - len(excl_sorted):
-        raise DecodeError(f"allowed-column rank {rank} out of range")
+def _unrank_allowed(rank: int, excl_sorted: list[int], m: int) -> int:
+    """rank-th position (0-based) of range(m) minus the excluded set."""
+    if rank >= m - len(excl_sorted):
+        raise DecodeError(f"rank {rank} out of range for {m - len(excl_sorted)} allowed positions")
     c = rank
     while True:
         k = bisect_right(excl_sorted, c)

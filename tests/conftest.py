@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future
+
 import pytest
 
 from heilbronn.geometry import GridArrangement, GridPoint
@@ -86,3 +89,43 @@ def acceptance_scan():
     from heilbronn.montecarlo import scan_mu
 
     return scan_mu([8, 16, 32, 64, 128], seed=42)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    every call inline, so no process is started."""
+
+    def __init__(self, max_workers: int, created: list[int]):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pools of montecarlo and constructions with
+    ``_InlineExecutor`` on a machine that reports 4 CPUs; returns the list
+    of ``max_workers`` values the code asked for."""
+    from heilbronn import constructions, montecarlo
+
+    created: list[int] = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def make(max_workers):
+        return _InlineExecutor(max_workers, created)
+
+    for module in (montecarlo, constructions):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", make)
+    return created

@@ -195,6 +195,15 @@ class TestExitCodes:
     def test_missing_required_flag(self):
         assert run(["sample", "--n", "4"]) == 1  # --seed required
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--ns", "8", "--seed", "1"],
+        ["tail", "--n", "8", "--threshold", "1.0", "--trials", "50", "--seed", "3"],
+        ["optimize", "--n", "3", "--seed", "1", "--restarts", "1", "--steps", "1"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, argv, jobs):
+        assert run(argv + ["--jobs", jobs]) == 1
+
     def test_missing_file_is_data_error(self):
         assert run(["min-triangle", "--file", "/nonexistent/nope.txt"]) == 2
 

@@ -82,6 +82,11 @@ class TestOptimizer:
         b = optimize_heilbronn(4, restarts=3, steps=500, seed=9)
         assert a == b
 
+    def test_workers_clamped_to_restarts(self, inline_pool):
+        parallel = optimize_heilbronn(4, restarts=2, steps=1, seed=9, jobs=1000)
+        assert inline_pool == [2]
+        assert parallel == optimize_heilbronn(4, restarts=2, steps=1, seed=9)
+
     def test_range_validated(self):
         with pytest.raises(ValueError):
             optimize_heilbronn(2, seed=0)

@@ -102,6 +102,16 @@ class TestEstimateMu:
         parallel = estimate_mu(8, trials=64, seed=8, jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs, trials, workers", [
+        (1000, 4000, [4]),  # clamped to the CPU count
+        (1000, 9, [2]),     # clamped to chunks of at least 4 trials
+        (3, 7, []),         # one chunk: serial, no pool
+    ])
+    def test_workers_clamped(self, inline_pool, jobs, trials, workers):
+        parallel = estimate_mu(8, trials=trials, seed=8, jobs=jobs)
+        assert inline_pool == workers
+        assert parallel == estimate_mu(8, trials=trials, seed=8)
+
 
 class TestFitExponent:
     def test_synthetic_cube_law(self):

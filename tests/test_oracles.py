@@ -1,22 +1,29 @@
 """Brute-force oracles for the closed-form codec arithmetic.
 
 These re-derive, by literal enumeration, the quantities the codecs compute
-arithmetically: the small-triangle candidate ordering, excluded-column
-sets, and pair ranks.  Any drift between the closed forms and the
-definitions shows up here first.
+arithmetically: the small-triangle candidate ordering, the position of a
+collinear witness's third pebble on line(P, Q), excluded-column sets, and
+pair ranks.  Any drift between the closed forms and the definitions shows
+up here first.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from heilbronn.coding import rank_combination, unrank_combination
-from heilbronn.geometry import GridPoint
+import pytest
+
+from heilbronn.coding import BitString, DecodeError, ceil_log2, rank_combination, unrank_combination
+from heilbronn.geometry import GridArrangement, GridPoint
 from heilbronn.rng import stream_rng
 from heilbronn.witnesses import (
     ForbiddingLineSet,
+    _intercept,
     _triangle_candidate_index,
     _triangle_candidate_point,
+    decode_witness,
+    encode_collinear_witness,
     excluded_columns,
 )
 
@@ -76,6 +83,67 @@ class TestCandidateEnumerationOracle:
         assert _triangle_candidate_index(P, Q, GridPoint(1, 1)) == 4
 
 
+def line_points_brute(P, Q, K):
+    """Grid points of [0, K-1]^2 on line(P, Q) other than P and Q, in
+    lexicographic (x, y) order, which is their order along the line's
+    lexicographically positive direction."""
+    return [
+        GridPoint(x, y)
+        for x in range(K)
+        for y in range(K)
+        if (Q.x - P.x) * (y - P.y) == (Q.y - P.y) * (x - P.x) and GridPoint(x, y) not in (P, Q)
+    ]
+
+
+def _side(P, Q, X):
+    """Where X lies along the line relative to P and Q."""
+    lo, hi = sorted(((P.x, P.y), (Q.x, Q.y)))
+    return "before" if (X.x, X.y) < lo else "after" if (X.x, X.y) > hi else "between"
+
+
+class TestCollinearLinePositionOracle:
+    def test_encoder_index_and_decoder_point_match_brute_force(self):
+        rng = stream_rng(104, 0)
+        enc_cases, dec_cases = Counter(), Counter()
+        while sum(dec_cases.values()) < 600:
+            K = 3 + rng.below(10)
+            P = GridPoint(rng.below(K), rng.below(K))
+            Q = GridPoint(rng.below(K), rng.below(K))
+            line = line_points_brute(P, Q, K)
+            if P == Q or not line:
+                continue
+            # decoder: every position on the line, P and Q as the
+            # sub-arrangement's pair
+            a2 = GridArrangement.from_points(K, [(P.x, P.y), (Q.x, Q.y)])
+            sub_rank = rank_combination(a2.cells(), K * K)
+            sub_bits = BitString.from_int(sub_rank, ceil_log2(comb(K * K, 2)))
+            width = ceil_log2(len(line))
+            for pos, X in enumerate(line):
+                got = decode_witness("collinear", sub_bits + BitString.from_int(pos, width), K, 3)
+                assert got == GridArrangement.from_points(K, [(P.x, P.y), (Q.x, Q.y), (X.x, X.y)])
+                dec_cases[_side(P, Q, X)] += 1
+            if len(line) < 1 << width:
+                with pytest.raises(DecodeError):
+                    decode_witness("collinear", sub_bits + BitString.from_int(len(line), width), K, 3)
+            # encoder: R is the row-major last pebble of {P, Q, X}, P and
+            # Q the other two in row-major order
+            for X in line:
+                a = GridArrangement.from_points(K, [(P.x, P.y), (Q.x, Q.y), (X.x, X.y)])
+                p, q, r = a.points
+                want = line_points_brute(p, q, K)
+                w = ceil_log2(len(want))
+                payload = encode_collinear_witness(a).payload
+                assert payload[len(payload) - w :].to_int() == want.index(r)
+                enc_cases[_side(p, q, r)] += 1
+                enc_cases["axis-parallel"] += p.x == q.x or p.y == q.y
+                enc_cases["flipped"] += q.x < p.x  # direction q - p has dx < 0
+        assert set(dec_cases) == {"before", "between", "after"}
+        # the encoder's R is the last of its triple in row-major order, so
+        # it lies beyond P and Q on the line, never between them
+        assert enc_cases["before"] and enc_cases["after"] and not enc_cases["between"]
+        assert enc_cases["axis-parallel"] and enc_cases["flipped"]
+
+
 class TestExcludedColumnsOracle:
     def test_full_row_scan_matches(self):
         rng = stream_rng(102, 0)
@@ -87,20 +155,25 @@ class TestExcludedColumnsOracle:
                 x1, x2 = rng.below(K), rng.below(K)
                 y1 = 40 + rng.below(20)
                 y2 = 33 + rng.below(6)
-                segs.append(((x1, y1), (x2, y2)))
+                # either endpoint first, so the intercept's denominator
+                # y1 - y2 takes both signs
+                seg = ((x1, y1), (x2, y2))
+                segs.append(seg if rng.below(2) else seg[::-1])
             f = ForbiddingLineSet(K, 32, ((0, 1), (2, 3)), tuple(segs), 1, 2)
-            T_min = 1 + rng.below(120)
             row = rng.below(32)
-            got = excluded_columns(row, f, T_min, K)
-            # oracle: test every column against every line's exact intercept
-            radius = Fraction(T_min, K - 1)
-            want = set()
-            for (x1, y1), (x2, y2) in segs:
-                xi = Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2)
-                for c in range(K):
-                    if abs(c - xi) < radius:
-                        want.add(c)
-            assert got == want
+            for T_min in (0, 1 + rng.below(120)):
+                got = excluded_columns(row, f, T_min, K)
+                # oracle: test every column against every line's exact intercept
+                radius = Fraction(T_min, K - 1)
+                want = set()
+                for (x1, y1), (x2, y2) in segs:
+                    xi = Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2)
+                    num, den = _intercept(((x1, y1), (x2, y2)), row)
+                    assert den > 0 and Fraction(num, den) == xi
+                    for c in range(K):
+                        if abs(c - xi) < radius:
+                            want.add(c)
+                assert got == want
 
 
 class TestPairRankOracle:
