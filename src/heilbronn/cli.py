@@ -4,8 +4,8 @@ Every command emits one JSON record {command, version, seed, params,
 results, timing_ms} on stdout (validated by the schema shipped in
 heilbronn/schemas/); ``scan --format csv`` emits plot-ready CSV rows
 instead.  Randomized commands require --seed and echo it.  Exit codes:
-0 success, 1 usage error, 2 data error.  Big integers (arrangement
-ranks) are serialized as decimal strings.
+0 success, 1 usage error, 2 data error or failed internal check.  Big
+integers (arrangement ranks) are serialized as decimal strings.
 """
 
 from __future__ import annotations
@@ -58,23 +58,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("HEILBRONN_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _jobs(text: str) -> int:
-    """--jobs value: an integer of at least 1 (an upper bound on workers)."""
-    jobs = int(text)
+    """--jobs or HEILBRONN_JOBS value: an integer of at least 1 (an upper
+    bound on workers)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0  # reported like a count below 1
     if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1 (from --jobs or HEILBRONN_JOBS), got {text!r}")
     return jobs
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="heilbronn", description=__doc__)
+    # a string default goes through _jobs like a given --jobs, so an invalid
+    # HEILBRONN_JOBS is a usage error only where --jobs exists and is omitted;
+    # an empty one counts as unset
+    jobs_default = os.environ.get("HEILBRONN_JOBS") or "1"
+    jobs_help = "upper bound on worker processes (default: $HEILBRONN_JOBS or 1)"
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("min-triangle", help="smallest triangle of a point/grid file")
@@ -94,7 +97,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--ns", required=True, help="comma-separated point counts")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--trials", type=int, help="fixed trial count (default: schedule)")
-    sp.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    sp.add_argument("--jobs", type=_jobs, default=jobs_default, help=jobs_help)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_scan)
 
@@ -103,7 +106,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--threshold", type=float, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    sp.add_argument("--jobs", type=_jobs, default=jobs_default, help=jobs_help)
     sp.set_defaults(func=_cmd_tail)
 
     sp = sub.add_parser("construct-erdos", help="quadratic-residue arrangement on a prime grid")
@@ -116,7 +119,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--steps", type=int, default=4000)
-    sp.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    sp.add_argument("--jobs", type=_jobs, default=jobs_default, help=jobs_help)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_optimize)
 
@@ -332,12 +335,12 @@ def _cmd_witness(args):
             results["path"] = args.out
         return None, params, results, None
 
+    if not args.out:
+        raise UsageError("witness decode requires --out for the reconstructed grid")
     kind, K, n, payload = load_witness(args.file)
     if kind != args.kind:
         raise FormatError(f"witness file is kind {kind!r}, not {args.kind!r}")
     a = decode_witness(kind, payload, K, n)
-    if not args.out:
-        raise UsageError("witness decode requires --out for the reconstructed grid")
     save_grid(a, args.out)
     results = {"kind": kind, "K": K, "n": n, "path": args.out}
     return None, params, results, None
@@ -381,6 +384,9 @@ def run(argv) -> int:
         return 1
     except (FormatError, DecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:  # a library self-check (optimizer, erdos_prime) failed
+        print(f"error: internal check failed: {exc or 'assertion failed'}", file=sys.stderr)
         return 2
     timing_ms = (time.perf_counter() - t0) * 1000.0
     if raw is not None:

@@ -256,6 +256,35 @@ def _min_triple_fast(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, obj
     return best_ijk[0], best_ijk[1], best_ijk[2], best
 
 
+def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Minimum |cross| over all triples of each row of (B, n) coordinates.
+
+    The batched form of ``_min_triple_fast`` for float64 or int64 rows: the
+    same pivots, pair table and operand order, each pivot gathering its
+    pairs for all B rows at once, so every row's minimum is bit-identical
+    to the single-row scan.  Differences are taken before the gather;
+    that moves no bit, because each pair reads the same two differences.
+    """
+    B, n = xs.shape
+    if n < 3:
+        raise ValueError("need at least 3 points for a triangle")
+    jt, kt = _pair_table(n)
+    xs = np.ascontiguousarray(xs)
+    ys = np.ascontiguousarray(ys)
+    best = None
+    for i in range(n - 2):
+        start = i * (n - 2) - i * (i - 1) // 2
+        jj, kk = jt[start:] - i, kt[start:] - i
+        dx = xs[:, i + 1:] - xs[:, i, None]
+        dy = ys[:, i + 1:] - ys[:, i, None]
+        cross = np.take(dx, jj, axis=1) * np.take(dy, kk, axis=1)
+        cross -= np.take(dy, jj, axis=1) * np.take(dx, kk, axis=1)
+        np.abs(cross, out=cross)
+        row_min = cross.min(axis=1)
+        best = row_min if best is None else np.minimum(best, row_min, out=best)
+    return best
+
+
 def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
     """Smallest-area triangle over all C(n,3) triples of a point set.
 

@@ -5,6 +5,11 @@ seed: trial t draws from the stream (seed, t), and aggregation sums
 per-trial values in trial order with exact (Shewchuk) summation, so
 results are bit-identical for any worker count or scheduling.
 
+Trials run in blocks: one ``uniform_block`` call draws the points of a
+block of consecutive trials and one ``min_twice_area_rows`` call scans
+them.  A block holds about ``_BLOCK_ELEMENTS`` elements per array, and
+since every trial is its own row, no result depends on the block size.
+
 The headline experiment sweeps n and fits the exponent of the mean
 smallest triangle area, which scales like 1/n^3 for uniform random
 points in the unit square.
@@ -16,11 +21,24 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, log2
+from math import comb, fsum, log2
 from typing import Callable, Optional, Sequence
 
-from .geometry import GridArrangement, GridPoint, PointSet, UnitPoint, min_area_triangle
-from .rng import derive_seed, stream_rng
+import numpy as np
+
+from .geometry import (
+    GridArrangement,
+    GridPoint,
+    PointSet,
+    UnitPoint,
+    min_area_triangle,
+    min_twice_area_rows,
+)
+from .rng import derive_seed, stream_rng, uniform_block
+
+#: elements per array of one block of trials: the pair gather of pivot 0,
+#: C(n-1, 2) per trial, or the 2n uniforms of a trial, whichever is larger
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def default_trial_schedule(n: int) -> int:
@@ -32,13 +50,8 @@ def sample_unit_square(n: int, seed: int, stream_id: int) -> PointSet:
     """n independent uniform points; x then y per point, 53-bit uniforms."""
     if n < 1:
         raise ValueError("need at least one point")
-    rng = stream_rng(seed, stream_id)
-    pts = []
-    for _ in range(n):
-        x = rng.uniform()
-        y = rng.uniform()
-        pts.append(UnitPoint(x, y))
-    return PointSet(tuple(pts))
+    u = uniform_block(seed, stream_id, stream_id + 1, 2 * n)[0].tolist()
+    return PointSet(tuple(UnitPoint(x, y) for x, y in zip(u[0::2], u[1::2])))
 
 
 def sample_grid_arrangement(K: int, n: int, seed: int, stream_id: int) -> GridArrangement:
@@ -112,11 +125,21 @@ class PointSetReport:
     baseline_seed: int
 
 
+def _block_trials(n: int) -> int:
+    """Trials per block at n points (n >= 3)."""
+    return max(1, _BLOCK_ELEMENTS // max(comb(n - 1, 2), 2 * n))
+
+
 def _areas_chunk(n: int, seed: int, start: int, stop: int) -> list[float]:
-    return [
-        min_area_triangle(sample_unit_square(n, seed, t), mode="fast").area
-        for t in range(start, stop)
-    ]
+    """Smallest areas of trials start..stop-1: the uniforms of trial t are
+    x, y per point from stream (seed, t), as in ``sample_unit_square``."""
+    block = _block_trials(n)
+    out: list[float] = []
+    for lo in range(start, stop, block):
+        u = uniform_block(seed, lo, min(lo + block, stop), 2 * n)
+        twice = min_twice_area_rows(u[:, 0::2], u[:, 1::2])
+        out.extend((twice / 2.0).tolist())
+    return out
 
 
 def _trial_areas(
@@ -127,6 +150,8 @@ def _trial_areas(
     sampler: Optional[Callable[[int, int, int], PointSet]] = None,
 ) -> list[float]:
     """Per-trial smallest areas, in trial order regardless of jobs."""
+    if n < 3:
+        raise ValueError("need at least 3 points for a triangle")
     if sampler is not None:
         return [min_area_triangle(sampler(n, seed, t), mode="fast").area for t in range(trials)]
     # one chunk of at least 4 trials per worker, at most one worker per CPU
@@ -181,6 +206,8 @@ def tail_probability(n: int, t: float, trials: int, seed: int, jobs: int = 1) ->
     """Empirical fraction of trials with smallest area strictly below t."""
     if t < 0:
         raise ValueError("threshold must be nonnegative")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     vals = _trial_areas(n, trials, seed, jobs=jobs)
     frac = sum(1 for v in vals if v < t) / trials
     return TailEstimate(n, t, trials, frac, seed)
@@ -234,12 +261,17 @@ def degenerate_structure_stats(K: int, n: int, trials: int, seed: int) -> Degene
         raise ValueError("need at least one trial")
     coll = 0
     shared = 0
-    for t in range(trials):
-        a = sample_grid_arrangement(K, n, seed, t)
-        if len(set(a.rows())) < n:
-            shared += 1
-        if n >= 3 and min_area_triangle(a, mode="fast").twice_area == 0:
-            coll += 1
+    block = _block_trials(max(n, 3))
+    for lo in range(0, trials, block):
+        cells = []
+        for t in range(lo, min(lo + block, trials)):
+            a = sample_grid_arrangement(K, n, seed, t)
+            if len(set(a.rows())) < n:
+                shared += 1
+            cells.append(a.cells())
+        if n >= 3:
+            ys, xs = np.divmod(np.array(cells, dtype=np.int64), K)
+            coll += int(np.count_nonzero(min_twice_area_rows(xs, ys) == 0))
     return DegeneracyStats(K, n, trials, coll / trials, shared / trials, seed)
 
 

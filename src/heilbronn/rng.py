@@ -10,9 +10,16 @@ Stream derivation: the generator for stream ``s`` under master seed ``m``
 starts from state ``mix(m XOR mix(s * GOLDEN))`` where ``mix`` is the
 SplitMix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.  Distinct stream ids
 therefore yield decorrelated, order-independent streams.
+
+SplitMix64 is counter-based: word k (k >= 1) of a stream is
+``mix(state + k * GOLDEN)``, a function of the counter alone.  So
+``uniform_block`` draws the leading uniforms of many streams at once in
+wrapping numpy uint64 arithmetic, bit-identical to the scalar generator.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -53,6 +60,33 @@ class SplitMix64:
             r = self.next64() >> (64 - bits)
             if r < bound:
                 return r
+
+
+def _mix64_array(z: np.ndarray) -> None:
+    """mix64 of every word of a uint64 array, in place; numpy array
+    arithmetic wraps modulo 2^64 like the masks of the scalar version."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+
+
+def uniform_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """(stop - start, width) float64 array; row r holds the first ``width``
+    ``uniform()`` values of stream (seed, start + r), bit for bit."""
+    state = np.arange(stop - start, dtype=np.uint64)
+    state += np.uint64(start & MASK64)
+    state *= np.uint64(GOLDEN)
+    _mix64_array(state)
+    state ^= np.uint64(seed & MASK64)
+    _mix64_array(state)  # derive_state(seed, start + r)
+    words = state[:, None] + np.arange(1, width + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    _mix64_array(words)
+    words >>= np.uint64(11)
+    out = words.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 def derive_state(seed: int, stream_id: int) -> int:

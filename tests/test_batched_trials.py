@@ -1,0 +1,127 @@
+"""The batched Monte Carlo path against its scalar references, bit for bit:
+``uniform_block`` against ``stream_rng(...).uniform()``, the row kernel
+``min_twice_area_rows`` against ``_min_triple_exhaustive``, and the
+estimates against the per-trial ``sampler=`` path, across block
+boundaries, block sizes and worker counts."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from heilbronn import montecarlo
+from heilbronn.geometry import _min_triple_exhaustive, min_area_triangle, min_twice_area_rows
+from heilbronn.montecarlo import (
+    _block_trials,
+    _trial_areas,
+    degenerate_structure_stats,
+    estimate_mu,
+    sample_grid_arrangement,
+    sample_unit_square,
+    tail_probability,
+)
+from heilbronn.rng import derive_seed, stream_rng, uniform_block
+
+SEEDS = [0, 2**64 - 1, derive_seed(2024, 7)]
+
+
+class TestUniformBlock:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start", [0, 1000, 2**62 + 3, 2**63 - 3])
+    def test_rows_match_scalar_streams(self, seed, start):
+        n = 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails
+            for width in range(1, 2 * n + 1):
+                block = uniform_block(seed, start, start + 4, width)
+                assert block.shape == (4, width) and block.dtype == np.float64
+                for r in range(4):
+                    rng = stream_rng(seed, start + r)
+                    assert block[r].tolist() == [rng.uniform() for _ in range(width)]
+
+    def test_sample_unit_square_is_one_row(self):
+        seed = SEEDS[2]
+        for stream in (0, 5, 2**63):
+            rng = stream_rng(seed, stream)
+            want = [(rng.uniform(), rng.uniform()) for _ in range(12)]
+            ps = sample_unit_square(12, seed, stream)
+            assert [(p.x, p.y) for p in ps.points] == want
+
+    def test_empty_block(self):
+        assert uniform_block(1, 5, 5, 3).shape == (0, 3)
+
+
+def _exhaustive_rows(xs, ys, cast):
+    return [_min_triple_exhaustive([cast(v) for v in x], [cast(v) for v in y])[3]
+            for x, y in zip(xs, ys)]
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("n", [3, 4, 8, 13])
+    def test_float_rows_match_exhaustive(self, n):
+        for B in (1, 3, _block_trials(n) + 1):
+            u = uniform_block(n, 0, B, 2 * n)
+            xs, ys = u[:, 0::2], u[:, 1::2]
+            got = min_twice_area_rows(xs, ys)
+            assert got.dtype == np.float64
+            assert got.tolist() == _exhaustive_rows(xs, ys, float)
+
+    @pytest.mark.parametrize("n, K", [(5, 3), (8, 4), (12, 6)])
+    def test_heavy_tie_grid_rows_match_exhaustive(self, n, K):
+        for B in (1, 3, _block_trials(n) + 1):
+            cells = [sample_grid_arrangement(K, n, 11, t).cells() for t in range(B)]
+            ys, xs = np.divmod(np.array(cells, dtype=np.int64), K)
+            got = min_twice_area_rows(xs, ys)
+            assert got.dtype == np.int64
+            want = _exhaustive_rows(xs, ys, int)
+            assert got.tolist() == want
+            assert 0 in want  # the grid is small enough for collinear rows
+
+    def test_rejects_fewer_than_three_points(self):
+        with pytest.raises(ValueError):
+            min_twice_area_rows(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def _per_trial(n, trials, seed):
+    return [min_area_triangle(sample_unit_square(n, seed, t)).area for t in range(trials)]
+
+
+class TestBlockIndependence:
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_trials_straddling_a_block(self, n):
+        block = _block_trials(n)
+        seed = derive_seed(5, n)
+        for trials in (block - 1, block, block + 1):
+            assert _trial_areas(n, trials, seed) == _per_trial(n, trials, seed)
+        assert estimate_mu(n, block + 1, seed) == estimate_mu(
+            n, block + 1, seed, sampler=sample_unit_square)
+
+    @pytest.mark.parametrize("elements", [1, 50, 999])
+    def test_block_size_moves_no_bit(self, monkeypatch, elements):
+        n, trials, seed = 8, 300, 17
+        want = (estimate_mu(n, trials, seed), tail_probability(n, 2e-3, trials, seed),
+                degenerate_structure_stats(6, 9, trials, seed))
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+        got = (estimate_mu(n, trials, seed), tail_probability(n, 2e-3, trials, seed),
+               degenerate_structure_stats(6, 9, trials, seed))
+        assert got == want
+
+    def test_degenerate_stats_match_per_trial_recount(self):
+        K, n = 8, 10
+        trials = _block_trials(n) + 2
+        coll = shared = 0
+        for t in range(trials):
+            a = sample_grid_arrangement(K, n, 3, t)
+            shared += len(set(a.rows())) < n
+            coll += min_area_triangle(a, mode="exhaustive").twice_area == 0
+        st = degenerate_structure_stats(K, n, trials, 3)
+        assert (st.collinear_fraction, st.shared_row_fraction) == (coll / trials, shared / trials)
+        assert 0 < st.collinear_fraction < 1
+
+    def test_jobs_move_no_bit(self, inline_pool):
+        n = 8
+        trials = 2 * _block_trials(n) + 5  # chunk bounds fall inside blocks
+        serial = (estimate_mu(n, trials, 4), tail_probability(n, 1e-3, trials, 4))
+        parallel = (estimate_mu(n, trials, 4, jobs=3), tail_probability(n, 1e-3, trials, 4, jobs=3))
+        assert inline_pool == [3, 3]
+        assert parallel == serial

@@ -180,6 +180,21 @@ class TestWitnessCommands:
         save_grid(a, grid_path)
         assert run(["witness", "collinear", "encode", "--file", str(grid_path)]) == 2
 
+    def test_decode_without_out_is_usage_error_before_decoding(self, capsys, tmp_path, monkeypatch):
+        # a 3-bit rowline payload is malformed, but the missing --out is
+        # reported first and nothing is decoded
+        import heilbronn.witnesses
+
+        wit_path = tmp_path / "bad.hw1"
+        wit_path.write_text("HW1 rowline K=8 n=4\n3:a\n")
+        assert run(["witness", "rowline", "decode", "--file", str(wit_path),
+                    "--out", str(tmp_path / "x.txt")]) == 2
+        calls = []
+        monkeypatch.setattr(heilbronn.witnesses, "decode_witness", lambda *a: calls.append(a))
+        assert run(["witness", "rowline", "decode", "--file", str(wit_path)]) == 1
+        assert calls == []
+        assert "requires --out" in capsys.readouterr().err
+
     def test_grid_flag_alias(self, capsys, tmp_path):
         a = GridArrangement.from_points(64, [(0, 0), (2, 2), (4, 4), (9, 1), (20, 33), (63, 5)])
         grid_path = tmp_path / "g.txt"
@@ -203,6 +218,49 @@ class TestExitCodes:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_usage_error(self, argv, jobs):
         assert run(argv + ["--jobs", jobs]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--ns", "8", "--seed", "1", "--trials", "4"],
+        ["tail", "--n", "5", "--threshold", "0.01", "--trials", "10", "--seed", "1"],
+        ["optimize", "--n", "3", "--seed", "1", "--restarts", "1", "--steps", "1"],
+    ])
+    @pytest.mark.parametrize("env", ["abc", "0", "-3", "1.5"])
+    def test_invalid_jobs_env_is_usage_error(self, capsys, monkeypatch, argv, env):
+        monkeypatch.setenv("HEILBRONN_JOBS", env)
+        assert run(argv) == 1
+        assert "HEILBRONN_JOBS" in capsys.readouterr().err
+        # an explicit --jobs overrides the variable
+        assert run_json(capsys, argv + ["--jobs", "1"])["params"]["jobs"] == 1
+
+    @pytest.mark.parametrize("env, jobs", [("3", 3), ("", 1)])
+    def test_valid_jobs_env_is_the_default(self, capsys, monkeypatch, inline_pool, env, jobs):
+        monkeypatch.setenv("HEILBRONN_JOBS", env)  # empty counts as unset
+        argv = ["tail", "--n", "5", "--threshold", "0.01", "--trials", "40", "--seed", "1"]
+        assert run_json(capsys, argv)["params"]["jobs"] == jobs
+        assert inline_pool == ([jobs] if jobs > 1 else [])
+
+    def test_invalid_jobs_env_ignored_without_jobs_option(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("HEILBRONN_JOBS", "abc")
+        run_json(capsys, ["sample", "--n", "5", "--seed", "1", "--out", str(tmp_path / "p.txt")])
+
+    @pytest.mark.parametrize("fake", ["raise", "collinear"])
+    def test_internal_check_failure_exits_2_without_traceback(self, capsys, monkeypatch, fake):
+        from heilbronn import constructions
+        from heilbronn.geometry import TriangleReport
+
+        def broken(points, mode="fast"):
+            if fake == "raise":
+                raise AssertionError("planted failure")
+            return TriangleReport(0, 1, 2, 0, 0.0)  # erdos_prime's own check then fails
+
+        monkeypatch.setattr(constructions, "min_area_triangle", broken)
+        assert run(["construct-erdos", "--p", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal check failed: ")
+        assert "Traceback" not in captured.err
+        if fake == "raise":
+            assert "planted failure" in captured.err
 
     def test_missing_file_is_data_error(self):
         assert run(["min-triangle", "--file", "/nonexistent/nope.txt"]) == 2

@@ -155,6 +155,11 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability(8, -0.1, trials=10, seed=0)
 
+    @pytest.mark.parametrize("n, trials", [(8, 0), (2, 10)])
+    def test_rejects_no_trials_or_triangles(self, n, trials):
+        with pytest.raises(ValueError):
+            tail_probability(n, 0.1, trials=trials, seed=0)
+
 
 class TestDegenerateStats:
     def test_shared_row_anchor_k2(self):
