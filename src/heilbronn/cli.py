@@ -216,7 +216,7 @@ def _cmd_scan(args):
         raise UsageError(f"--ns must be comma-separated integers, got {args.ns!r}") from None
     if not ns:
         raise UsageError("--ns must name at least one point count")
-    trials_for = (lambda n: args.trials) if args.trials else default_trial_schedule
+    trials_for = default_trial_schedule if args.trials is None else (lambda n: args.trials)
     estimates, fit = scan_mu(ns, args.seed, trials_for=trials_for, jobs=args.jobs)
     rows = _scan_rows(estimates, args.seed)
     params = {"ns": ns, "trials": args.trials, "jobs": args.jobs}

@@ -8,6 +8,13 @@ Two coordinate modes exist side by side and never mix:
   deterministic IEEE-754 with a fixed operation order, so pure-Python and
   vectorized paths return bit-identical values.
 
+There are two triple scans: ``_min_triple_exhaustive``, the pure-Python
+reference (test oracle and the optimizer's per-step kernel), and
+``_pivot_scan``, the one vectorised per-pivot scan over one point set or a
+batch of them.  It has two reductions: ``min_twice_area_rows`` keeps each
+row's minimum (Monte Carlo trials), and ``min_area_triangle`` keeps the
+lexicographically first minimal triple of a single set.
+
 A grid point (i, j) maps to the unit-square point (i/(K-1), j/(K-1)); with
 that convention a nondegenerate grid triangle has area at least
 1/(2(K-1)^2) exactly.
@@ -209,9 +216,8 @@ def normalize_area(twice_area, K: int) -> float:
 def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All C(n-1, 2) pairs (j, k), j < k, of xs[1:] in row-major order.
 
-    Pivot i's pairs of xs[i+1:] are this table's tail from offset
-    i*(n-2) - i*(i-1)//2, shifted down by i; one table per n keeps the
-    cache at O(n^2) memory.
+    Pivot i's pairs, those of xs[i+1:], are this table's tail from offset
+    i*(n-2) - i*(i-1)//2; one table per n keeps the cache at O(n^2) memory.
     """
     return np.triu_indices(n - 1, 1)
 
@@ -235,51 +241,40 @@ def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
     return best_ijk[0], best_ijk[1], best_ijk[2], best
 
 
-def _min_triple_fast(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]:
-    """Vectorized per-pivot scan; identical values and tie-breaks by
-    construction (same formula, same operand order, row-major pair order)."""
-    n = len(xs)
-    jt, kt = _pair_table(n)
-    tx, ty = xs[1:], ys[1:]
-    best = None
-    best_ijk = None
-    for i in range(n - 2):
-        start = i * (n - 2) - i * (i - 1) // 2
-        jj, kk = jt[start:], kt[start:]
-        cross = (tx[jj] - xs[i]) * (ty[kk] - ys[i]) - (ty[jj] - ys[i]) * (tx[kk] - xs[i])
-        np.abs(cross, out=cross)
-        pos = int(np.argmin(cross))
-        v = cross[pos]
-        if best is None or v < best:
-            best = v
-            best_ijk = (i, 1 + int(jj[pos]), 1 + int(kk[pos]))
-    return best_ijk[0], best_ijk[1], best_ijk[2], best
+def _pivot_scan(xs: np.ndarray, ys: np.ndarray):
+    """The vectorised triple scan over float64 or int64 coordinate rows:
+    one point set of shape (n,) or a batch of B sets of shape (B, n).
 
-
-def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Minimum |cross| over all triples of each row of (B, n) coordinates.
-
-    The batched form of ``_min_triple_fast`` for float64 or int64 rows: the
-    same pivots, pair table and operand order, each pivot gathering its
-    pairs for all B rows at once, so every row's minimum is bit-identical
-    to the single-row scan.  Differences are taken before the gather;
-    that moves no bit, because each pair reads the same two differences.
+    For each pivot i, yields (i, jj, kk, cross): |cross| of every triple
+    (i, 1+jj, 1+kk) of every row, a block of shape (..., C(n-i-1, 2))
+    whose last axis runs over the pairs of points after i in row-major
+    order.  The point differences are taken before the gather, which moves
+    no bit: each pair reads the same two differences, with the operand
+    order of ``_min_triple_exhaustive``.  Each block stays alive until the
+    next one is built, which keeps the allocator from churning at large n.
     """
-    B, n = xs.shape
-    if n < 3:
-        raise ValueError("need at least 3 points for a triangle")
+    n = xs.shape[-1]
     jt, kt = _pair_table(n)
     xs = np.ascontiguousarray(xs)
     ys = np.ascontiguousarray(ys)
-    best = None
     for i in range(n - 2):
         start = i * (n - 2) - i * (i - 1) // 2
-        jj, kk = jt[start:] - i, kt[start:] - i
-        dx = xs[:, i + 1:] - xs[:, i, None]
-        dy = ys[:, i + 1:] - ys[:, i, None]
-        cross = np.take(dx, jj, axis=1) * np.take(dy, kk, axis=1)
-        cross -= np.take(dy, jj, axis=1) * np.take(dx, kk, axis=1)
+        jj, kk = jt[start:], kt[start:]
+        dx = xs[..., 1:] - xs[..., i, None]  # the i leading columns go unread
+        dy = ys[..., 1:] - ys[..., i, None]
+        cross = dx.take(jj, axis=-1) * dy.take(kk, axis=-1)
+        cross -= dy.take(jj, axis=-1) * dx.take(kk, axis=-1)
         np.abs(cross, out=cross)
+        yield i, jj, kk, cross
+
+
+def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Minimum |cross| over all triples of each row of (B, n) coordinates:
+    ``_pivot_scan`` reduced per pivot by a row minimum."""
+    if xs.shape[1] < 3:
+        raise ValueError("need at least 3 points for a triangle")
+    best = None
+    for _, _, _, cross in _pivot_scan(xs, ys):
         row_min = cross.min(axis=1)
         best = row_min if best is None else np.minimum(best, row_min, out=best)
     return best
@@ -289,9 +284,9 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
     """Smallest-area triangle over all C(n,3) triples of a point set.
 
     Accepts a PointSet (continuous) or GridArrangement (grid).  Both modes
-    return the exact minimum; 'fast' uses a vectorized scan that is
-    guaranteed (and tested) to match the 'exhaustive' reference, including
-    the lexicographically-smallest-index tie-break.
+    return the exact minimum; 'fast' runs ``_pivot_scan`` on the set as one
+    row and is guaranteed (and tested) to match the 'exhaustive' reference,
+    including the lexicographically-smallest-index tie-break.
     """
     if mode not in ("exhaustive", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -318,7 +313,14 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
             ys = [float(v) for v in arr[:, 1]]
         i, j, k, t = _min_triple_exhaustive(xs, ys)
     else:
-        i, j, k, t = _min_triple_fast(arr[:, 0], arr[:, 1])
+        # first strict minimum over pivots, first argmin within a pivot:
+        # the lexicographically smallest minimal triple
+        t = None
+        for p, jj, kk, cross in _pivot_scan(arr[:, 0], arr[:, 1]):
+            pos = int(cross.argmin())
+            if t is None or cross[pos] < t:
+                t = cross[pos]
+                i, j, k = p, 1 + int(jj[pos]), 1 + int(kk[pos])
 
     if grid:
         t = int(t)
@@ -326,7 +328,3 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
     t = float(t)
     return TriangleReport(i, j, k, t, t / 2.0)
 
-
-def min_twice_area(points) -> int | float:
-    """Convenience: the exact minimum twice-area (fast path)."""
-    return min_area_triangle(points, mode="fast").twice_area

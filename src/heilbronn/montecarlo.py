@@ -7,8 +7,10 @@ results are bit-identical for any worker count or scheduling.
 
 Trials run in blocks: one ``uniform_block`` call draws the points of a
 block of consecutive trials and one ``min_twice_area_rows`` call scans
-them.  A block holds about ``_BLOCK_ELEMENTS`` elements per array, and
-since every trial is its own row, no result depends on the block size.
+them, running the per-pivot scan behind ``min_area_triangle`` on all rows
+at once and keeping each row's minimum.  A block holds about
+``_BLOCK_ELEMENTS`` elements per array, and since every trial is its own
+row, no result depends on the block size.
 
 The headline experiment sweeps n and fits the exponent of the mean
 smallest triangle area, which scales like 1/n^3 for uniform random
@@ -292,6 +294,8 @@ def analyze_pointset(
     n = points.n
     if n < 3:
         raise ValueError("n must be >= 3")
+    if baseline_trials < 1:
+        raise ValueError("need at least one baseline trial")
     area = min_area_triangle(points, mode="fast").area
     base = baseline_areas(n, baseline_trials, baseline_seed)
     below = sum(1 for v in base if v < area)

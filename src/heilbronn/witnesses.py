@@ -354,25 +354,22 @@ def _triangle_candidate_index(P: GridPoint, Q: GridPoint, R: GridPoint) -> int:
     f = T // g
     sign_plus = cross > 0
     level_start = (f - 1) * 2 * g + (0 if sign_plus else g)
-    t_R, t_lo = _coset_params(q1, q2, g, cross, (r1, r2))
+    bx, by, t_lo = _coset_params(q1, q2, g, cross)
+    dx, dy = q1 // g, q2 // g
+    t_R = (r1 - bx) // dx if dx != 0 else (r2 - by) // dy
     return level_start + (t_R - t_lo)
 
 
-def _coset_params(q1: int, q2: int, g: int, v: int, rel: Optional[tuple[int, int]]) -> tuple[Optional[int], int]:
-    """For the coset {X : q2*X.x - q1*X.y = v}: the window start t_lo of the
-    g in-window parameters, and (if rel given) the parameter t of rel."""
+def _coset_params(q1: int, q2: int, g: int, v: int) -> tuple[int, int, int]:
+    """For the coset {X : q2*X.x - q1*X.y = v}, X relative to P: a base
+    solution (bx, by) and the start t_lo of the window of g parameters t
+    whose points (bx, by) + t*(q1, q2)/g project into [P, Q)."""
     _, s, t = _egcd(q2, -q1)  # q2*s - q1*t = g
     scale = v // g
     bx, by = s * scale, t * scale  # base solution with form value v
-    dx, dy = q1 // g, q2 // g
     step = (q1 * q1 + q2 * q2) // g
     s_base = bx * q1 + by * q2  # projection numerator of the base solution
-    t_lo = _ceil_div(-s_base, step)
-    t_R = None
-    if rel is not None:
-        r1, r2 = rel
-        t_R = (r1 - bx) // dx if dx != 0 else (r2 - by) // dy
-    return t_R, t_lo
+    return bx, by, _ceil_div(-s_base, step)
 
 
 def _triangle_candidate_point(P: GridPoint, Q: GridPoint, index: int) -> GridPoint:
@@ -383,14 +380,9 @@ def _triangle_candidate_point(P: GridPoint, Q: GridPoint, index: int) -> GridPoi
     rem = index % (2 * g)
     sign = 1 if rem < g else -1
     pos = rem % g
-    v = sign * k * g
-    _, t_lo = _coset_params(q1, q2, g, v, None)
-    _, s, t = _egcd(q2, -q1)
-    scale = v // g
-    bx, by = s * scale, t * scale
-    dx, dy = q1 // g, q2 // g
+    bx, by, t_lo = _coset_params(q1, q2, g, sign * k * g)
     tt = t_lo + pos
-    return GridPoint(P.x + bx + tt * dx, P.y + by + tt * dy)
+    return GridPoint(P.x + bx + tt * (q1 // g), P.y + by + tt * (q2 // g))
 
 
 def encode_small_triangle_witness(

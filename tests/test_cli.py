@@ -73,6 +73,14 @@ class TestSampleAndAnalyze:
         )
         assert 0.0 <= rec["results"]["percentile"] <= 1.0
 
+    @pytest.mark.parametrize("trials", ["0", "-4"])
+    def test_analyze_without_baseline_trials_exits_2(self, capsys, corners_file, trials):
+        assert run(["analyze", "--file", corners_file, "--seed", "1", "--baseline-trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need at least one baseline trial")
+        assert "Traceback" not in captured.err
+
 
 class TestScan:
     def test_json_output(self, capsys):
@@ -93,6 +101,13 @@ class TestScan:
 
     def test_bad_ns_is_usage_error(self, capsys):
         assert run(["scan", "--ns", "8,x", "--seed", "1"]) == 1
+
+    def test_zero_trials_is_not_the_default_schedule(self, capsys):
+        # --trials 0 is a trial count like any other, not "unset"
+        assert run(["scan", "--ns", "3,4", "--seed", "1", "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at least 2 trials" in captured.err
 
 
 class TestTailStatsOptimize:

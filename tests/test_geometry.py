@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from heilbronn.geometry import (
@@ -170,6 +172,63 @@ class TestMinAreaTriangle:
         ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(ValueError):
             min_area_triangle(ps, mode="quick")
+
+
+# heavy-tie inputs for the tie-break fuzz: dense small grids, and float sets
+# over a few repeated coordinates (some not exactly representable, so ties
+# also arise from rounding); float sets keep their drawn order
+grid_tie_sets = st.integers(3, 6).flatmap(
+    lambda K: st.lists(
+        st.tuples(st.integers(0, K - 1), st.integers(0, K - 1)),
+        min_size=3, max_size=min(K * K, 14), unique=True,
+    ).map(lambda pts: GridArrangement.from_points(K, pts))
+)
+TIE_VALUES = (0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.75, 0.9, 1.0)
+float_tie_sets = st.lists(st.sampled_from(TIE_VALUES), min_size=2, max_size=5, unique=True).flatmap(
+    lambda vals: st.lists(
+        st.tuples(st.sampled_from(vals), st.sampled_from(vals)), min_size=3, max_size=14
+    ).map(PointSet.from_coords)
+)
+
+# minima first attained at pivot 2, with several tied pairs in that pivot
+LATE_TIES = [
+    GridArrangement.from_points(6, [(4, 0), (0, 1), (2, 4), (3, 4), (4, 4), (5, 4)]),  # zero, 3 pairs
+    GridArrangement.from_points(6, [(0, 0), (3, 2), (0, 3), (2, 4), (3, 4), (5, 5)]),  # 1, 3 pairs
+    PointSet.from_coords([(1 / 3, 0.5), (0.7, 0.25), (0.5, 0.1), (0.7, 0.1), (1 / 3, 0.1), (0.25, 0.1)]),
+    PointSet.from_coords([(0.5, 0.25), (0.2, 0.9), (0.75, 0.2), (0.75, 0.25), (0.9, 0.9), (0.9, 0.75)]),
+]
+
+
+def tied_pairs_at_winning_pivot(points, rep) -> int:
+    """Pairs (j, k) after pivot rep.i whose triangle with it ties the minimum."""
+    pts = points.points
+    return sum(
+        abs(twice_signed_area(pts[rep.i], pts[j], pts[k])) == rep.twice_area
+        for j, k in combinations(range(rep.i + 1, len(pts)), 2)
+    )
+
+
+class TestTieBreakFuzz:
+    @pytest.mark.parametrize("points", LATE_TIES)
+    def test_examples_reach_late_tied_minima(self, points):
+        rep = min_area_triangle(points, mode="exhaustive")
+        assert rep.i == 2
+        assert tied_pairs_at_winning_pivot(points, rep) >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(grid_tie_sets, float_tie_sets))
+    @example(LATE_TIES[0])
+    @example(LATE_TIES[1])
+    @example(LATE_TIES[2])
+    @example(LATE_TIES[3])
+    def test_fast_equals_exhaustive_under_ties(self, points):
+        ex = min_area_triangle(points, mode="exhaustive")
+        fa = min_area_triangle(points, mode="fast")
+        assert (fa.i, fa.j, fa.k, fa.twice_area) == (ex.i, ex.j, ex.k, ex.twice_area)
+        assert type(fa.twice_area) is type(ex.twice_area)
+        # steer the search toward later winning pivots with more tied pairs
+        target(float(ex.i), label="winning pivot")
+        target(float(tied_pairs_at_winning_pivot(points, ex)), label="tied pairs")
 
 
 class TestDomainTypes:

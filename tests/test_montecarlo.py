@@ -238,6 +238,12 @@ class TestAnalyzePointset:
         d = max(max(abs((i + 1) / m - p), abs(p - i / m)) for i, p in enumerate(pcts))
         assert d < 1.5 / m**0.5  # generous KS band
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_no_baseline_trials(self, trials):
+        ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1), (1, 1)])
+        with pytest.raises(ValueError, match="baseline trial"):
+            analyze_pointset(ps, baseline_seed=1, baseline_trials=trials)
+
     def test_well_spread_construction_high_percentile(self):
         grid = erdos_prime(23)
         ps = PointSet.from_coords([(p.x / 23, p.y / 23) for p in grid.points])
