@@ -388,6 +388,9 @@ def run(argv) -> int:
     except AssertionError as exc:  # a library self-check (optimizer, erdos_prime) failed
         print(f"error: internal check failed: {exc or 'assertion failed'}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     timing_ms = (time.perf_counter() - t0) * 1000.0
     if raw is not None:
         print(raw)
@@ -400,12 +403,25 @@ def run(argv) -> int:
         "results": results,
         "timing_ms": timing_ms,
     }
-    print(json.dumps(record))
+    try:
+        line = json.dumps(record, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: not a JSON number
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(line)
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; silence the flush at interpreter exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed by its reader", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, fsum, log2
+from math import comb, fsum, isfinite, log2
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,6 +206,8 @@ def estimate_mu(
 
 def tail_probability(n: int, t: float, trials: int, seed: int, jobs: int = 1) -> TailEstimate:
     """Empirical fraction of trials with smallest area strictly below t."""
+    if not isfinite(t):
+        raise ValueError("threshold must be finite")
     if t < 0:
         raise ValueError("threshold must be nonnegative")
     if trials < 1:

@@ -280,6 +280,54 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self):
         assert run(["min-triangle", "--file", "/nonexistent/nope.txt"]) == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_data_error(self, capsys, threshold):
+        argv = ["tail", "--n", "5", f"--threshold={threshold}", "--trials", "10", "--seed", "1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold must be finite\n"
+
+    def test_non_finite_result_never_reaches_stdout(self, capsys, monkeypatch):
+        from heilbronn import cli
+        from heilbronn.montecarlo import TailEstimate
+
+        def nan_fraction(n, t, trials, seed, jobs=1):
+            return TailEstimate(n, t, trials, float("nan"), seed)
+
+        monkeypatch.setattr(cli, "tail_probability", nan_fraction)
+        assert run(["tail", "--n", "5", "--threshold", "0.1", "--trials", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        from heilbronn import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "tail_probability", exhausted)
+        assert run(["tail", "--n", "5", "--threshold", "0.1", "--trials", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        # the read end closes before the child has imported heilbronn, so
+        # its first write to stdout fails with EPIPE
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heilbronn", "scan", "--ns", "3,4,5", "--seed", "1",
+             "--trials", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == "error: stdout closed by its reader\n"
+
     def test_module_entry_point(self, tmp_path):
         # one end-to-end subprocess check of `python -m heilbronn`
         out = tmp_path / "pts.txt"

@@ -155,6 +155,11 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability(8, -0.1, trials=10, seed=0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_threshold(self, t):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            tail_probability(8, t, trials=10, seed=0)
+
     @pytest.mark.parametrize("n, trials", [(8, 0), (2, 10)])
     def test_rejects_no_trials_or_triangles(self, n, trials):
         with pytest.raises(ValueError):

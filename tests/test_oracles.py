@@ -3,8 +3,10 @@
 These re-derive, by literal enumeration, the quantities the codecs compute
 arithmetically: the small-triangle candidate ordering, the position of a
 collinear witness's third pebble on line(P, Q), excluded-column sets, and
-pair ranks.  Any drift between the closed forms and the definitions shows
-up here first.
+combination ranks.  Any drift between the closed forms and the definitions
+shows up here first.  Where enumeration is out of reach (combinations of
+range(2^48)), the reference is the per-element bisection that ranking used
+before the combinadic walk.
 """
 
 from collections import Counter
@@ -13,6 +15,8 @@ from itertools import combinations
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heilbronn.coding import BitString, DecodeError, ceil_log2, rank_combination, unrank_combination
 from heilbronn.geometry import GridArrangement, GridPoint
@@ -184,3 +188,79 @@ class TestPairRankOracle:
             for rank, (i, j) in enumerate(pairs):
                 assert rank_combination((i, j), m) == rank
                 assert unrank_combination(rank, 2, m) == (i, j)
+
+
+def rank_by_prefixes(cells, m):
+    """Lexicographic rank as the count of combinations below, prefix by prefix."""
+    k = len(cells)
+    rank, prev = 0, -1
+    for i, c in enumerate(cells):
+        rem = k - i
+        rank += comb(m - prev - 1, rem) - comb(m - c, rem)
+        prev = c
+    return rank
+
+
+def unrank_by_bisection(rank, k, m):
+    """Each element by bisection over the count of combinations below it."""
+    out, prev = [], -1
+    for i in range(k):
+        rem = k - i
+        base = comb(m - prev - 1, rem)
+        lo, hi = prev + 1, m - rem
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if base - comb(m - mid - 1, rem) > rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        rank -= base - comb(m - lo, rem)
+        out.append(lo)
+        prev = lo
+    return tuple(out)
+
+
+@st.composite
+def ranked_combinations(draw):
+    m = draw(st.integers(min_value=0, max_value=1 << 48))
+    k = draw(st.integers(min_value=0, max_value=min(m, 64)))
+    return m, k, draw(st.integers(min_value=0, max_value=comb(m, k) - 1))
+
+
+class TestCombinationRankOracle:
+    def test_exhaustive_all_k(self):
+        for m in range(13):
+            for k in range(m + 1):
+                for rank, cells in enumerate(combinations(range(m), k)):
+                    assert rank_combination(cells, m) == rank
+                    assert unrank_combination(rank, k, m) == cells
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_combinations())
+    def test_walk_matches_bisection(self, case):
+        m, k, rank = case
+        cells = unrank_combination(rank, k, m)
+        assert cells == unrank_by_bisection(rank, k, m)
+        assert rank_combination(cells, m) == rank == rank_by_prefixes(cells, m)
+
+    # past m ~ 2^50 the float estimate misses and the walk's bisection
+    # fallback finishes the element; 2^1100 is past the float range
+    @pytest.mark.parametrize(
+        "m,k",
+        [(1000, 999), (1000, 990), (1000, 500), (1 << 20, 200), (1 << 56, 40), (1 << 64, 12), (1 << 1100, 3)],
+    )
+    def test_extreme_ranks_match_bisection(self, m, k):
+        total = comb(m, k)
+        for rank in (0, 1, 2, total // 3, total // 2, 5 * total // 7, total - 2, total - 1):
+            cells = unrank_combination(rank, k, m)
+            assert cells == unrank_by_bisection(rank, k, m)
+            assert rank_combination(cells, m) == rank
+
+    def test_errors_unchanged(self):
+        with pytest.raises(ValueError, match=r"rank 6 out of range for C\(4, 2\)"):
+            unrank_combination(6, 2, 4)
+        with pytest.raises(ValueError, match=r"rank -1 out of range"):
+            unrank_combination(-1, 2, 4)
+        for cells in [(1, 1), (2, 1), (0, 4), (-1, 2)]:
+            with pytest.raises(ValueError, match="strictly increasing within range"):
+                rank_combination(cells, 4)
