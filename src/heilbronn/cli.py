@@ -40,6 +40,7 @@ from .montecarlo import (
 )
 from .witnesses import (
     WITNESS_KINDS,
+    decode_witness,
     encode_collinear_witness,
     encode_rowline_witness,
     encode_small_triangle_witness,
@@ -308,8 +309,6 @@ _ENCODERS = {
 
 
 def _cmd_witness(args):
-    from .witnesses import decode_witness  # local import keeps the map above simple
-
     params = {"kind": args.kind, "action": args.action, "file": args.file, "out": args.out}
     if args.action == "encode":
         a = load_grid(args.file)

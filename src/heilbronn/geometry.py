@@ -290,28 +290,16 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
     """
     if mode not in ("exhaustive", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(points, GridArrangement):
-        grid = True
-        n = points.n
-        arr = points.coords()
-        K = points.K
-    elif isinstance(points, PointSet):
-        grid = False
-        n = points.n
-        arr = points.coords()
-    else:
+    if not isinstance(points, (GridArrangement, PointSet)):
         raise TypeError("expected PointSet or GridArrangement")
-    if n < 3:
+    if points.n < 3:
         raise ValueError("need at least 3 points for a triangle")
+    grid = isinstance(points, GridArrangement)
+    arr = points.coords()
 
     if mode == "exhaustive":
-        if grid:
-            xs = [int(v) for v in arr[:, 0]]
-            ys = [int(v) for v in arr[:, 1]]
-        else:
-            xs = [float(v) for v in arr[:, 0]]
-            ys = [float(v) for v in arr[:, 1]]
-        i, j, k, t = _min_triple_exhaustive(xs, ys)
+        # tolist gives Python ints for int64 and floats for float64
+        i, j, k, t = _min_triple_exhaustive(arr[:, 0].tolist(), arr[:, 1].tolist())
     else:
         # first strict minimum over pivots, first argmin within a pivot:
         # the lexicographically smallest minimal triple
@@ -324,7 +312,7 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
 
     if grid:
         t = int(t)
-        return TriangleReport(i, j, k, t, normalize_area(t, K))
+        return TriangleReport(i, j, k, t, normalize_area(t, points.K))
     t = float(t)
     return TriangleReport(i, j, k, t, t / 2.0)
 

@@ -10,7 +10,9 @@ block of consecutive trials and one ``min_twice_area_rows`` call scans
 them, running the per-pivot scan behind ``min_area_triangle`` on all rows
 at once and keeping each row's minimum.  A block holds about
 ``_BLOCK_ELEMENTS`` elements per array, and since every trial is its own
-row, no result depends on the block size.
+row, no result depends on the block size.  A run keeps its areas in one
+float64 array, 8 bytes a trial.  A grid trial is its sorted cell ids
+y*K + x (``_grid_cells``), and a block of them one int64 array.
 
 The headline experiment sweeps n and fits the exponent of the mean
 smallest triangle area, which scales like 1/n^3 for uniform random
@@ -29,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    MAX_GRID_SIDE,
     GridArrangement,
     GridPoint,
     PointSet,
@@ -56,17 +59,24 @@ def sample_unit_square(n: int, seed: int, stream_id: int) -> PointSet:
     return PointSet(tuple(UnitPoint(x, y) for x, y in zip(u[0::2], u[1::2])))
 
 
-def sample_grid_arrangement(K: int, n: int, seed: int, stream_id: int) -> GridArrangement:
-    """Uniform over all C(K^2, n) arrangements: rejection-sample distinct
-    cells, which is exchangeable and therefore uniform on the cell set."""
-    if n > K * K:
-        raise ValueError("n exceeds the number of grid cells")
+def _grid_cells(K: int, n: int, seed: int, stream_id: int) -> list[int]:
+    """Sorted cell ids of a uniform arrangement of n pebbles on the K x K
+    grid: rejection-sample distinct cells, which is exchangeable and
+    therefore uniform on the cell set."""
+    if not (2 <= K <= MAX_GRID_SIDE and 0 <= n <= K * K):
+        raise ValueError(f"no arrangement of n={n} pebbles on a K={K} grid")
     rng = stream_rng(seed, stream_id)
     cells: set[int] = set()
     while len(cells) < n:
         cells.add(rng.below(K * K))
-    pts = tuple(GridPoint(c % K, c // K) for c in sorted(cells))
-    return GridArrangement(K, pts)
+    return sorted(cells)
+
+
+def sample_grid_arrangement(K: int, n: int, seed: int, stream_id: int) -> GridArrangement:
+    """Uniform over all C(K^2, n) arrangements: the cells ``_grid_cells``
+    draws from stream (seed, stream_id)."""
+    cells = _grid_cells(K, n, seed, stream_id)
+    return GridArrangement(K, tuple(GridPoint(c % K, c // K) for c in cells))
 
 
 @dataclass(frozen=True)
@@ -132,30 +142,23 @@ def _block_trials(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(comb(n - 1, 2), 2 * n))
 
 
-def _areas_chunk(n: int, seed: int, start: int, stop: int) -> list[float]:
+def _areas_chunk(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Smallest areas of trials start..stop-1: the uniforms of trial t are
     x, y per point from stream (seed, t), as in ``sample_unit_square``."""
     block = _block_trials(n)
-    out: list[float] = []
+    out = np.empty(stop - start)
     for lo in range(start, stop, block):
-        u = uniform_block(seed, lo, min(lo + block, stop), 2 * n)
-        twice = min_twice_area_rows(u[:, 0::2], u[:, 1::2])
-        out.extend((twice / 2.0).tolist())
+        hi = min(lo + block, stop)
+        u = uniform_block(seed, lo, hi, 2 * n)
+        out[lo - start : hi - start] = min_twice_area_rows(u[:, 0::2], u[:, 1::2])
+    out /= 2.0
     return out
 
 
-def _trial_areas(
-    n: int,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-    sampler: Optional[Callable[[int, int, int], PointSet]] = None,
-) -> list[float]:
-    """Per-trial smallest areas, in trial order regardless of jobs."""
+def _trial_areas(n: int, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
+    """Per-trial smallest areas as float64, in trial order regardless of jobs."""
     if n < 3:
         raise ValueError("need at least 3 points for a triangle")
-    if sampler is not None:
-        return [min_area_triangle(sampler(n, seed, t), mode="fast").area for t in range(trials)]
     # one chunk of at least 4 trials per worker, at most one worker per CPU
     workers = min(jobs, os.cpu_count() or 1, trials // 4)
     if workers <= 1:
@@ -165,41 +168,34 @@ def _trial_areas(
         futures = [
             pool.submit(_areas_chunk, n, seed, bounds[w], bounds[w + 1]) for w in range(workers)
         ]
-        out: list[float] = []
-        for fut in futures:  # chunk order == trial order
-            out.extend(fut.result())
-    return out
+        return np.concatenate([fut.result() for fut in futures])  # chunk order == trial order
 
 
-def estimate_mu(
-    n: int,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-    sampler: Optional[Callable[[int, int, int], PointSet]] = None,
-) -> MuEstimate:
+def estimate_mu(n: int, trials: int, seed: int, jobs: int = 1) -> MuEstimate:
     """Mean smallest area over independent uniform point sets.
 
     Exact-zero areas (collinear triples, probability zero under uniform
     sampling) are counted separately as degeneracy events rather than
-    folded into the mean.  ``sampler`` replaces the point source for
-    testing; it forces the serial path.
+    folded into the mean.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    vals = _trial_areas(n, trials, seed, jobs=jobs, sampler=sampler)
-    zeros = sum(1 for v in vals if v == 0.0)
-    live = [v for v in vals if v != 0.0]
-    if not live:
+    live = _trial_areas(n, trials, seed, jobs=jobs)
+    zeros = trials - int(np.count_nonzero(live))
+    if zeros:
+        live = live[live != 0.0]
+    if not live.size:
         return MuEstimate(n, trials, 0.0, 0.0, (0.0, 0.0), seed, zeros)
-    if min(live) == max(live):
-        mean, stderr = live[0], 0.0
+    if live.min() == live.max():
+        mean, stderr = float(live[0]), 0.0
     else:
-        mean = fsum(live) / len(live)
-        var = fsum((v - mean) ** 2 for v in live) / (len(live) - 1)
-        stderr = (var / len(live)) ** 0.5
+        mean = fsum(live) / live.size
+        # squared as Python floats: ** 2 is libm pow, which rounds some
+        # squares unlike numpy's v * v
+        var = fsum((float(v) - mean) ** 2 for v in live) / (live.size - 1)
+        stderr = (var / live.size) ** 0.5
     ci = (mean - 1.96 * stderr, mean + 1.96 * stderr)
     return MuEstimate(n, trials, mean, stderr, ci, seed, zeros)
 
@@ -213,7 +209,7 @@ def tail_probability(n: int, t: float, trials: int, seed: int, jobs: int = 1) ->
     if trials < 1:
         raise ValueError("need at least one trial")
     vals = _trial_areas(n, trials, seed, jobs=jobs)
-    frac = sum(1 for v in vals if v < t) / trials
+    frac = int(np.count_nonzero(vals < t)) / trials
     return TailEstimate(n, t, trials, frac, seed)
 
 
@@ -260,30 +256,29 @@ def scan_mu(
 
 def degenerate_structure_stats(K: int, n: int, trials: int, seed: int) -> DegeneracyStats:
     """Monte Carlo frequency of collinear triples and shared rows in
-    uniform random grid arrangements."""
+    uniform random grid arrangements: in a block of sorted cell ids, two
+    equal adjacent row ids or a zero smallest twice-area."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    coll = 0
-    shared = 0
+    coll = shared = 0
     block = _block_trials(max(n, 3))
     for lo in range(0, trials, block):
-        cells = []
-        for t in range(lo, min(lo + block, trials)):
-            a = sample_grid_arrangement(K, n, seed, t)
-            if len(set(a.rows())) < n:
-                shared += 1
-            cells.append(a.cells())
+        cells = [_grid_cells(K, n, seed, t) for t in range(lo, min(lo + block, trials))]
+        ys, xs = np.divmod(np.array(cells, dtype=np.int64), K)
+        shared += int(np.count_nonzero((ys[:, 1:] == ys[:, :-1]).any(axis=1)))
         if n >= 3:
-            ys, xs = np.divmod(np.array(cells, dtype=np.int64), K)
             coll += int(np.count_nonzero(min_twice_area_rows(xs, ys) == 0))
     return DegeneracyStats(K, n, trials, coll / trials, shared / trials, seed)
 
 
 @lru_cache(maxsize=8)
-def baseline_areas(n: int, trials: int, seed: int) -> list[float]:
-    """Sorted baseline distribution of A for uniform random n-point sets;
-    the last few (n, trials, seed) are cached for reproducible percentiles."""
-    return sorted(_trial_areas(n, trials, seed))
+def baseline_areas(n: int, trials: int, seed: int) -> np.ndarray:
+    """Sorted baseline distribution of A for uniform random n-point sets, a
+    read-only float64 array; the last few (n, trials, seed) are cached for
+    reproducible percentiles."""
+    base = np.sort(_trial_areas(n, trials, seed))
+    base.flags.writeable = False
+    return base
 
 
 def analyze_pointset(
@@ -300,7 +295,7 @@ def analyze_pointset(
         raise ValueError("need at least one baseline trial")
     area = min_area_triangle(points, mode="fast").area
     base = baseline_areas(n, baseline_trials, baseline_seed)
-    below = sum(1 for v in base if v < area)
-    ties = sum(1 for v in base if v == area)
+    below = int(np.searchsorted(base, area, side="left"))
+    ties = int(np.searchsorted(base, area, side="right")) - below
     pct = (below + 0.5 * ties) / len(base)
     return PointSetReport(n, area, area * n**3, pct, baseline_trials, baseline_seed)

@@ -37,7 +37,7 @@ from .coding import (
     string_to_nat,
     unrank_combination,
 )
-from .geometry import GridArrangement, GridPoint, min_area_triangle, twice_signed_area
+from .geometry import MAX_GRID_SIDE, GridArrangement, GridPoint, min_area_triangle, twice_signed_area
 
 WITNESS_KINDS = ("collinear", "rowline", "small_triangle", "theorem2")
 
@@ -704,17 +704,34 @@ _DECODERS = {
 _MIN_PEBBLES = {"collinear": 3, "rowline": 2, "small_triangle": 3, "theorem2": 2}
 
 
+def _min_payload_bits(kind: str, K: int, n: int) -> int:
+    """A lower bound on a payload's fixed-width fields that computes no
+    binomial: for theorem 2 the header, the row set (C(K, n) >= 2^min(n, K-n))
+    and the upper-half columns; for the other kinds the sub-arrangement rank,
+    as C(m, k) >= (m/k)^k for m = K^2 and k = min(n-1, m-n+1)."""
+    if kind == "theorem2":
+        return 2 * ceil_log2(K - 1) + 1 + min(n, K - n) + (n // 2) * ceil_log2(K)
+    m = K * K
+    k = min(n - 1, m - n + 1)
+    return k * ((m // k).bit_length() - 1)
+
+
 def decode_witness(kind: str, payload: BitString, K: int, n: int) -> GridArrangement:
     """Reconstruct the arrangement a witness payload encodes.
 
     Consumes the whole payload; malformed, truncated, or trailing input
-    raises DecodeError with the offending bit position.
+    raises DecodeError with the offending bit position, at bit 0, before
+    any binomial, for a payload shorter than ``_min_payload_bits``.
     """
     if kind not in _DECODERS:
         raise ValueError(f"unknown witness kind {kind!r}")
     max_n = K if kind == "theorem2" else K * K  # theorem-2 pebbles occupy distinct rows
-    if K < 2 or not _MIN_PEBBLES[kind] <= n <= max_n:
+    if not 2 <= K <= MAX_GRID_SIDE or not _MIN_PEBBLES[kind] <= n <= max_n:
         raise DecodeError(f"no {kind} witness exists for K={K}, n={n}")
+    need = _min_payload_bits(kind, K, n)
+    if len(payload) < need:
+        raise DecodeError(f"stream ends early at bit 0: a {kind} witness for K={K}, n={n} "
+                          f"has at least {need} bits, got {len(payload)}")
     return _DECODERS[kind](payload, K, n)
 
 

@@ -1,10 +1,11 @@
 """The batched Monte Carlo path against its scalar references, bit for bit:
 ``uniform_block`` against ``stream_rng(...).uniform()``, the row kernel
 ``min_twice_area_rows`` against ``_min_triple_exhaustive``, and the
-estimates against the per-trial ``sampler=`` path, across block
-boundaries, block sizes and worker counts."""
+estimates against one ``min_area_triangle`` per sampled point set or grid
+arrangement, across block boundaries, block sizes and worker counts."""
 
 import warnings
+from math import fsum
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from heilbronn import montecarlo
 from heilbronn.geometry import _min_triple_exhaustive, min_area_triangle, min_twice_area_rows
 from heilbronn.montecarlo import (
+    MuEstimate,
     _block_trials,
     _trial_areas,
     degenerate_structure_stats,
@@ -86,15 +88,41 @@ def _per_trial(n, trials, seed):
     return [min_area_triangle(sample_unit_square(n, seed, t)).area for t in range(trials)]
 
 
+def _per_trial_mu(n, trials, seed):
+    """estimate_mu reduced over a list of per-trial areas in Python."""
+    live = [v for v in _per_trial(n, trials, seed) if v != 0.0]
+    mean = fsum(live) / len(live)
+    stderr = (fsum((v - mean) ** 2 for v in live) / (len(live) - 1) / len(live)) ** 0.5
+    ci = (mean - 1.96 * stderr, mean + 1.96 * stderr)
+    return MuEstimate(n, trials, mean, stderr, ci, seed, trials - len(live))
+
+
+def _per_trial_recount(K, n, trials, seed):
+    """(collinear, shared-row) fractions from one arrangement per trial."""
+    coll = shared = 0
+    for t in range(trials):
+        a = sample_grid_arrangement(K, n, seed, t)
+        shared += len(set(a.rows())) < n
+        coll += min_area_triangle(a, mode="exhaustive").twice_area == 0
+    return coll / trials, shared / trials
+
+
 class TestBlockIndependence:
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_trials_straddling_a_block(self, n):
         block = _block_trials(n)
         seed = derive_seed(5, n)
         for trials in (block - 1, block, block + 1):
-            assert _trial_areas(n, trials, seed) == _per_trial(n, trials, seed)
-        assert estimate_mu(n, block + 1, seed) == estimate_mu(
-            n, block + 1, seed, sampler=sample_unit_square)
+            assert _trial_areas(n, trials, seed).tolist() == _per_trial(n, trials, seed)
+        assert estimate_mu(n, block + 1, seed) == _per_trial_mu(n, block + 1, seed)
+
+    def test_trial_areas_is_one_float64_array(self, inline_pool):
+        trials = 2 * _block_trials(8) + 5
+        for jobs in (1, 3):
+            vals = _trial_areas(8, trials, 4, jobs=jobs)
+            assert isinstance(vals, np.ndarray)
+            assert vals.dtype == np.float64 and vals.shape == (trials,)
+        assert inline_pool == [3]
 
     @pytest.mark.parametrize("elements", [1, 50, 999])
     def test_block_size_moves_no_bit(self, monkeypatch, elements):
@@ -109,14 +137,23 @@ class TestBlockIndependence:
     def test_degenerate_stats_match_per_trial_recount(self):
         K, n = 8, 10
         trials = _block_trials(n) + 2
-        coll = shared = 0
-        for t in range(trials):
-            a = sample_grid_arrangement(K, n, 3, t)
-            shared += len(set(a.rows())) < n
-            coll += min_area_triangle(a, mode="exhaustive").twice_area == 0
         st = degenerate_structure_stats(K, n, trials, 3)
-        assert (st.collinear_fraction, st.shared_row_fraction) == (coll / trials, shared / trials)
+        assert (st.collinear_fraction, st.shared_row_fraction) == _per_trial_recount(K, n, trials, 3)
         assert 0 < st.collinear_fraction < 1
+
+    def test_degenerate_stats_build_no_arrangement(self, monkeypatch):
+        K, n = 16, 8
+        trials = _block_trials(n) + 2
+        want = _per_trial_recount(K, n, trials, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid trial built an arrangement")
+
+        monkeypatch.setattr(montecarlo, "GridArrangement", refuse)
+        monkeypatch.setattr(montecarlo, "sample_grid_arrangement", refuse)
+        st = degenerate_structure_stats(K, n, trials, 5)
+        assert (st.collinear_fraction, st.shared_row_fraction) == want
+        assert 0 < st.collinear_fraction < 1 and 0 < st.shared_row_fraction < 1
 
     def test_jobs_move_no_bit(self, inline_pool):
         n = 8

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from heilbronn import cli, coding, witnesses
 from heilbronn.cli import run
 from heilbronn.formats import save_grid, save_pointset
 from heilbronn.geometry import GridArrangement, PointSet
@@ -57,6 +59,12 @@ class TestSampleAndAnalyze:
         rec = run_json(capsys, ["sample", "--n", "12", "--seed", "5", "--out", str(out)])
         assert rec["seed"] == 5
         assert out.exists()
+
+    def test_sample_grid_negative_n_is_data_error(self, capsys, tmp_path):
+        out = tmp_path / "g.txt"
+        assert run(["sample", "--k", "8", "--n", "-3", "--seed", "1", "--out", str(out)]) == 2
+        assert "no arrangement of n=-3 pebbles" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_grid_then_rank(self, capsys, tmp_path):
         out = tmp_path / "g.txt"
@@ -123,6 +131,11 @@ class TestTailStatsOptimize:
             ["stats-degenerate", "--k", "2", "--n", "2", "--trials", "600", "--seed", "4"],
         )
         assert abs(rec["results"]["shared_row_fraction"] - 1 / 3) < 0.08
+
+    def test_stats_degenerate_negative_n_is_data_error(self, capsys):
+        assert run(["stats-degenerate", "--k", "8", "--n", "-3", "--trials", "5", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no arrangement of n=-3 pebbles" in captured.err
 
     def test_optimize(self, capsys):
         rec = run_json(
@@ -198,17 +211,38 @@ class TestWitnessCommands:
     def test_decode_without_out_is_usage_error_before_decoding(self, capsys, tmp_path, monkeypatch):
         # a 3-bit rowline payload is malformed, but the missing --out is
         # reported first and nothing is decoded
-        import heilbronn.witnesses
-
         wit_path = tmp_path / "bad.hw1"
         wit_path.write_text("HW1 rowline K=8 n=4\n3:a\n")
         assert run(["witness", "rowline", "decode", "--file", str(wit_path),
                     "--out", str(tmp_path / "x.txt")]) == 2
         calls = []
-        monkeypatch.setattr(heilbronn.witnesses, "decode_witness", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "decode_witness", lambda *a: calls.append(a))
         assert run(["witness", "rowline", "decode", "--file", str(wit_path)]) == 1
         assert calls == []
         assert "requires --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        "HW1 rowline K=1073741824 n=100001",
+        "HW1 collinear K=1073741824 n=400001",
+        "HW1 small_triangle K=1073741824 n=400001",
+        "HW1 theorem2 K=1073741824 n=400000",
+        "HW1 rowline K=1073741825 n=3",  # K above the grid maximum
+    ])
+    def test_header_only_witness_exits_2_without_binomials(self, capsys, tmp_path, monkeypatch,
+                                                           header):
+        def refuse(*args):  # run maps AssertionError to exit 2, so raise another
+            raise RuntimeError("decode computed a binomial")
+
+        monkeypatch.setattr(coding, "comb", refuse)
+        monkeypatch.setattr(witnesses, "comb", refuse)
+        wit_path = tmp_path / "big.hw1"
+        wit_path.write_text(header + "\n0:\n")
+        kind = header.split()[1]
+        t0 = time.perf_counter()
+        assert run(["witness", kind, "decode", "--file", str(wit_path),
+                    "--out", str(tmp_path / "x.txt")]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "error:" in capsys.readouterr().err
 
     def test_grid_flag_alias(self, capsys, tmp_path):
         a = GridArrangement.from_points(64, [(0, 0), (2, 2), (4, 4), (9, 1), (20, 33), (63, 5)])

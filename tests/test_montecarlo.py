@@ -1,7 +1,9 @@
 from math import fsum, log2
 
+import numpy as np
 import pytest
 
+from heilbronn import montecarlo
 from heilbronn.constructions import erdos_prime
 from heilbronn.geometry import PointSet, min_area_triangle
 from heilbronn.montecarlo import (
@@ -63,22 +65,23 @@ class TestSampleGridArrangement:
 
 
 class TestEstimateMu:
-    def test_injected_sampler_degenerate(self):
+    def test_injected_sampler_degenerate(self, monkeypatch):
         fixed = PointSet.from_coords([(0, 0), (1, 0), (0, 1), (0.25, 0.75)])
-        est = estimate_mu(4, trials=50, seed=0, sampler=lambda n, s, t: fixed)
         want = min_area_triangle(fixed).area
+        monkeypatch.setattr(montecarlo, "_trial_areas",
+                            lambda n, trials, seed, jobs=1: np.full(trials, want))
+        est = estimate_mu(4, trials=50, seed=0)
         assert est.mean == want
         assert est.stderr == 0.0
         assert est.ci95 == (want, want)
 
-    def test_zero_areas_are_degeneracy_events(self):
+    def test_zero_areas_are_degeneracy_events(self, monkeypatch):
         degenerate = PointSet.from_coords([(0, 0), (0.5, 0.5), (1, 1), (0.9, 0.1)])
         good = PointSet.from_coords([(0, 0), (1, 0), (0, 1), (1, 1)])
-
-        def sampler(n, s, t):
-            return degenerate if t % 2 else good
-
-        est = estimate_mu(4, trials=10, seed=0, sampler=sampler)
+        areas = [min_area_triangle(degenerate if t % 2 else good).area for t in range(10)]
+        monkeypatch.setattr(montecarlo, "_trial_areas",
+                            lambda n, trials, seed, jobs=1: np.array(areas[:trials]))
+        est = estimate_mu(4, trials=10, seed=0)
         assert est.zero_area_trials == 5
         assert est.mean == 0.5  # zeros excluded from the mean
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heilbronn import coding, witnesses
 from heilbronn.coding import BitString, DecodeError, baseline_length, ceil_log2, rank_combination
 from heilbronn.geometry import (
+    MAX_GRID_SIDE,
     GridArrangement,
     GridPoint,
     lattice_points_half_open,
@@ -15,6 +17,9 @@ from heilbronn.geometry import (
 )
 from heilbronn.witnesses import (
     WITNESS_KINDS,
+    _min_payload_bits,
+    _theorem2_widths,
+    _width_sub_rank,
     decode_witness,
     encode_collinear_witness,
     encode_rowline_witness,
@@ -252,6 +257,33 @@ class TestDecodeErrors:
     def test_theorem2_more_pebbles_than_rows(self):
         with pytest.raises(DecodeError, match="K=4, n=6"):
             decode_witness("theorem2", BitString("0" * 40), 4, 6)
+
+    @pytest.mark.parametrize("kind", WITNESS_KINDS)
+    @pytest.mark.parametrize("K, n", [(MAX_GRID_SIDE, 100_002), (MAX_GRID_SIDE, 400_000),
+                                      (2**20, 200), (MAX_GRID_SIDE + 1, 4)])
+    def test_short_or_oversized_header_fails_before_any_binomial(self, monkeypatch, kind, K, n):
+        def refuse(*args):
+            raise AssertionError("decode computed a binomial")
+
+        monkeypatch.setattr(coding, "comb", refuse)
+        monkeypatch.setattr(witnesses, "comb", refuse)
+        for bits in ("", "0" * 64):
+            with pytest.raises(DecodeError):
+                decode_witness(kind, BitString(bits), K, n)
+
+    @pytest.mark.parametrize("kind", WITNESS_KINDS)
+    def test_min_payload_bits_is_a_lower_bound(self, kind):
+        # every fixed-width field the bound counts, at every K <= 12
+        for K in range(2, 13):
+            for n in range(2 if kind in ("rowline", "theorem2") else 3, K * K + 1):
+                if kind == "theorem2":
+                    if n > K:
+                        break
+                    header_w, rows_w, col_w = _theorem2_widths(K, n)
+                    fields = header_w + rows_w + (n // 2) * col_w
+                else:
+                    fields = _width_sub_rank(K, n)
+                assert _min_payload_bits(kind, K, n) <= fields, (K, n)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
