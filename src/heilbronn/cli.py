@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .coding import DecodeError, baseline_length, rank_arrangement, unrank_arrangement
-from .constructions import erdos_area_lower_bound, erdos_prime, optimize_heilbronn
+from .constructions import _erdos_checked, erdos_area_lower_bound, optimize_heilbronn
 from .formats import (
     FormatError,
     load_grid,
@@ -242,15 +242,15 @@ def _cmd_tail(args):
 
 
 def _cmd_construct_erdos(args):
-    a = erdos_prime(args.p)
+    a, tri = _erdos_checked(args.p)
     results = {
         "p": args.p,
         "n": a.n,
         "area_lower_bound": erdos_area_lower_bound(args.p),
         "normalization": "cell size 1/p",
     }
-    if a.n >= 3:
-        results["min_twice_area"] = int(min_area_triangle(a).twice_area)
+    if tri is not None:
+        results["min_twice_area"] = int(tri.twice_area)
     if args.out:
         save_grid(a, args.out)
         results["path"] = args.out

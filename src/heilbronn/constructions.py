@@ -12,13 +12,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 
 from .geometry import (
     GridArrangement,
     PointSet,
+    TriangleReport,
     UnitPoint,
-    _min_triple_exhaustive,
     min_area_triangle,
     # unused here; perfbench/spans.py patches this name to count calls
     twice_signed_area,  # noqa: F401
@@ -56,12 +58,21 @@ def erdos_prime(p: int) -> GridArrangement:
     The no-collinear property is re-verified on every call by an exact
     scan over all C(p, 3) triples.
     """
+    return _erdos_checked(p)[0]
+
+
+def _erdos_checked(p: int) -> tuple[GridArrangement, TriangleReport | None]:
+    """``erdos_prime(p)`` and the minimal triangle its check scan found
+    (None for p = 2, which has no triangle)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     arr = GridArrangement.from_points(p, [(i, (i * i) % p) for i in range(p)])
-    if p >= 3 and min_area_triangle(arr).twice_area == 0:
+    if p < 3:
+        return arr, None
+    tri = min_area_triangle(arr)
+    if tri.twice_area == 0:
         raise AssertionError(f"collinear triple in residue construction p={p}")
-    return arr
+    return arr, tri
 
 
 def erdos_area_lower_bound(p: int) -> float:
@@ -77,40 +88,132 @@ class OptimizerResult:
     seed: int
 
 
+@lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """All triples a < b < c of range(n), in lexicographic order."""
+    return tuple(combinations(range(n), 3))
+
+
+@lru_cache(maxsize=None)
+def _through(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """For each point i, the triples (pos, a, b, c) of ``_triples(n)`` that
+    contain i, in order; pos is the triple's index there."""
+    through = [[] for _ in range(n)]
+    for pos, abc in enumerate(_triples(n)):
+        for i in abc:
+            through[i].append((pos, *abc))
+    return tuple(map(tuple, through))
+
+
+class _Restart:
+    """The state of one restart (see ``_run_restart``), advanced one move
+    at a time: the points, the twice-area table ``tab``, ``value``, the
+    count ``minimal`` of minimal triples, their count ``cnt[i]`` through
+    each point i, and the step-size schedule."""
+
+    __slots__ = ("xs", "ys", "rng", "tab", "value", "minimal", "cnt", "through", "step", "streak")
+
+    def __init__(self, xs: list[float], ys: list[float], rng):
+        self.xs = xs
+        self.ys = ys
+        self.rng = rng
+        self.through = _through(len(xs))
+        tab = []
+        for a, b, c in _triples(len(xs)):
+            xa, ya = xs[a], ys[a]
+            t = (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa)
+            if t < 0:
+                t = -t
+            tab.append(t)
+        self.tab = tab
+        self._recount()
+        self.step = _INITIAL_STEP
+        self.streak = 0
+
+    def _recount(self) -> None:
+        # min keeps the first of equal values, as the reference scan does
+        value = min(self.tab) / 2.0
+        cnt = [0] * len(self.xs)
+        minimal = 0
+        for (a, b, c), t in zip(_triples(len(self.xs)), self.tab):
+            if t / 2.0 == value:
+                minimal += 1
+                cnt[a] += 1
+                cnt[b] += 1
+                cnt[c] += 1
+        self.value = value
+        self.minimal = minimal
+        self.cnt = cnt
+
+    def advance(self) -> bool:
+        """Draw and try one move; False, drawing nothing, once the step
+        size has fallen below ``_MIN_STEP``."""
+        if self.step < _MIN_STEP:
+            return False
+        rng = self.rng
+        xs, ys = self.xs, self.ys
+        i = rng.below(len(xs))
+        axis = rng.below(2)
+        delta = (2.0 * rng.uniform() - 1.0) * self.step
+        coords = xs if axis == 0 else ys
+        old = coords[i]
+        if self.cnt[i] == self.minimal:
+            coords[i] = min(1.0, max(0.0, old + delta))
+            value = self.value
+            new = []
+            for pos, a, b, c in self.through[i]:
+                xa, ya = xs[a], ys[a]
+                t = (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa)
+                if t < 0:
+                    t = -t
+                if t / 2.0 <= value:
+                    break
+                new.append((pos, t))
+            else:
+                tab = self.tab
+                for pos, t in new:
+                    tab[pos] = t
+                self._recount()
+                self.streak = 0
+                return True
+            coords[i] = old
+        self.streak += 1
+        if self.streak >= _STREAK:
+            self.step *= _DECAY
+            self.streak = 0
+        return True
+
+
 def _run_restart(n: int, seed: int, restart: int, steps: int) -> tuple[float, list[float], list[float], int]:
+    """One seeded restart: (value, xs, ys, iterations).
+
+    The restart keeps one twice-area table: each triple's |cross|, in the
+    lexicographic triple order and with the operand order of the reference
+    scan ``geometry._min_triple_exhaustive`` (whose ``if t < 0: t = -t``
+    keeps a ``-0.0``), so the first minimum of the table is the scan's and
+    ``value`` is that minimum halved.  It also counts the minimal triples
+    (``t / 2.0 == value``) and, for each point, how many of them contain it.
+
+    A move of point i is accepted only if the new minimum exceeds
+    ``value``, and triangles without i keep their areas.  So the move is
+    rejected with no area computed when some minimal triangle avoids i;
+    otherwise the C(n-1, 2) triangles through i are evaluated, stopping at
+    the first with ``t / 2.0 <= value``.  Only an accepted move writes the
+    table and recounts the minimum.  Draws, decisions, values and
+    iterations are those of a full rescan on every step.
+    """
     rng = stream_rng(seed, restart)
     xs = []
     ys = []
     for _ in range(n):
         xs.append(rng.uniform())
         ys.append(rng.uniform())
-    # the pure-Python reference scan: at n <= 16 it beats the vectorised
-    # scan per call
-    value = _min_triple_exhaustive(xs, ys)[3] / 2.0
-    step = _INITIAL_STEP
-    streak = 0
+    climb = _Restart(xs, ys, rng)
     it = 0
     for it in range(1, steps + 1):
-        if step < _MIN_STEP:
+        if not climb.advance():
             break
-        i = rng.below(n)
-        axis = rng.below(2)
-        delta = (2.0 * rng.uniform() - 1.0) * step
-        coords = xs if axis == 0 else ys
-        old = coords[i]
-        new = min(1.0, max(0.0, old + delta))
-        coords[i] = new
-        cand = _min_triple_exhaustive(xs, ys)[3] / 2.0
-        if cand > value:
-            value = cand
-            streak = 0
-        else:
-            coords[i] = old
-            streak += 1
-            if streak >= _STREAK:
-                step *= _DECAY
-                streak = 0
-    return value, xs, ys, it
+    return climb.value, xs, ys, it
 
 
 def optimize_heilbronn(

@@ -9,11 +9,12 @@ Two coordinate modes exist side by side and never mix:
   vectorized paths return bit-identical values.
 
 There are two triple scans: ``_min_triple_exhaustive``, the pure-Python
-reference (test oracle and the optimizer's per-step kernel), and
-``_pivot_scan``, the one vectorised per-pivot scan over one point set or a
-batch of them.  It has two reductions: ``min_twice_area_rows`` keeps each
-row's minimum (Monte Carlo trials), and ``min_area_triangle`` keeps the
-lexicographically first minimal triple of a single set.
+reference (test oracle, ``mode="exhaustive"`` and the optimizer's final
+re-verification), and ``_pivot_scan``, the one vectorised per-pivot scan
+over one point set or a batch of them.  It has two reductions:
+``min_twice_area_rows`` keeps each row's minimum (Monte Carlo trials), and
+``min_area_triangle`` keeps the lexicographically first minimal triple of
+a single set.
 
 A grid point (i, j) maps to the unit-square point (i/(K-1), j/(K-1)); with
 that convention a nondegenerate grid triangle has area at least
@@ -223,7 +224,11 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
-    """Reference scan over all C(n,3) triples; exact, lexicographic ties."""
+    """Reference scan over all C(n,3) triples; exact, lexicographic ties.
+
+    The oracle of every other scan: ``_pivot_scan`` and the optimizer's
+    twice-area table (``constructions._run_restart``) use its operand
+    order, so their values match it bit for bit."""
     n = len(xs)
     best = None
     best_ijk = None

@@ -155,6 +155,24 @@ class TestConstructErdos:
     def test_composite_is_data_error(self, capsys):
         assert run(["construct-erdos", "--p", "8"]) == 2
 
+    def test_one_triple_scan(self, capsys, monkeypatch):
+        from heilbronn import constructions
+        from heilbronn.constructions import erdos_prime
+        from heilbronn.geometry import min_area_triangle
+
+        want = min_area_triangle(erdos_prime(31)).twice_area
+        calls = []
+
+        def counted(points, mode="fast"):
+            calls.append(mode)
+            return min_area_triangle(points, mode)
+
+        monkeypatch.setattr(constructions, "min_area_triangle", counted)
+        monkeypatch.setattr(cli, "min_area_triangle", counted)
+        rec = run_json(capsys, ["construct-erdos", "--p", "31"])
+        assert calls == ["fast"]
+        assert rec["results"]["min_twice_area"] == want
+
 
 class TestRankUnrank:
     def test_round_trip_via_files(self, capsys, tmp_path, grid_file):

@@ -1,13 +1,23 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heilbronn.constructions import (
+    _DECAY,
+    _INITIAL_STEP,
+    _MIN_STEP,
+    _STREAK,
+    _Restart,
     corners_plus_random,
     erdos_area_lower_bound,
     erdos_prime,
     is_prime,
     optimize_heilbronn,
 )
-from heilbronn.geometry import min_area_triangle
+from heilbronn.geometry import _min_triple_exhaustive, min_area_triangle
+from heilbronn.rng import stream_rng
 from heilbronn.witnesses import find_collinear_triple
 
 # Independent dense-grid oracle for n = 5: per-point exhaustive sweeps over a
@@ -92,6 +102,115 @@ class TestOptimizer:
             optimize_heilbronn(2, seed=0)
         with pytest.raises(ValueError):
             optimize_heilbronn(17, seed=0)
+
+
+def rescan_steps(xs, ys, rng):
+    """The optimizer's step loop as it was before the twice-area table:
+    one full reference scan per move.  Yields the points after each move."""
+    value = _min_triple_exhaustive(xs, ys)[3] / 2.0
+    step, streak = _INITIAL_STEP, 0
+    while step >= _MIN_STEP:
+        i = rng.below(len(xs))
+        axis = rng.below(2)
+        delta = (2.0 * rng.uniform() - 1.0) * step
+        coords = xs if axis == 0 else ys
+        old = coords[i]
+        coords[i] = min(1.0, max(0.0, old + delta))
+        cand = _min_triple_exhaustive(xs, ys)[3] / 2.0
+        if cand > value:
+            value, streak = cand, 0
+        else:
+            coords[i] = old
+            streak += 1
+            if streak >= _STREAK:
+                step *= _DECAY
+                streak = 0
+        yield xs, ys
+
+
+def assert_state_is_recount(climb):
+    """The incremental state equals a full recount of the current points."""
+    xs, ys = climb.xs, climb.ys
+    tab = []
+    for a, b, c in combinations(range(len(xs)), 3):
+        t = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
+        tab.append(-t if t < 0 else t)
+    value = _min_triple_exhaustive(xs, ys)[3] / 2.0
+    minimal = [abc for abc, t in zip(combinations(range(len(xs)), 3), tab) if t / 2.0 == value]
+    assert climb.value.hex() == value.hex()
+    assert [t.hex() for t in climb.tab] == [t.hex() for t in tab]
+    assert climb.minimal == len(minimal)
+    assert climb.cnt == [sum(i in abc for abc in minimal) for i in range(len(xs))]
+
+
+def drive(xs, ys, seed, steps):
+    """Step a restart from (xs, ys) and the rescan loop from a copy in
+    lockstep, checking the state and the points after every step."""
+    climb = _Restart(list(xs), list(ys), stream_rng(seed, 0))
+    reference = rescan_steps(list(xs), list(ys), stream_rng(seed, 0))
+    assert_state_is_recount(climb)
+    for _ in range(steps):
+        advanced = climb.advance()
+        want = next(reference, None)
+        assert advanced == (want is not None)
+        if not advanced:
+            return
+        assert [v.hex() for v in climb.xs + climb.ys] == [v.hex() for v in want[0] + want[1]]
+        assert_state_is_recount(climb)
+
+
+# Starts with three or more points on one edge of the square, so that several
+# zero-area triples tie and a minimal triangle avoids most points.  In the
+# first, triple (0, 1, 2) has twice-area 0.0 * -0.4 - 0.4 * 0.0 = -0.0, the
+# first minimum, and triple (0, 2, 3) a later +0.0.
+EDGE_STARTS = [
+    ([0.0, 0.0, 0.0, 0.0, 0.6], [0.5, 0.9, 0.1, 0.3, 0.5]),
+    ([0.0, 0.3, 0.7, 1.0, 0.2, 0.8], [1.0, 1.0, 1.0, 1.0, 0.3, 0.1]),
+    ([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.001], [0.0, 0.2, 0.5, 0.8, 1.0, 0.0, 0.4, 0.999]),
+    ([0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5, 1.0]),
+]
+
+EDGE_VALUES = st.sampled_from([0.0, 1.0, 0.001, 0.999, 0.5])
+COORD = st.one_of(EDGE_VALUES, st.floats(0.0, 1.0))
+
+
+@st.composite
+def starts(draw):
+    n = draw(st.integers(3, 16))
+    return draw(st.lists(COORD, min_size=n, max_size=n)), draw(st.lists(COORD, min_size=n, max_size=n))
+
+
+class TestIncrementalStep:
+    def test_edge_start_has_negative_zero_minimum(self):
+        xs, ys = EDGE_STARTS[0]
+        assert _Restart(list(xs), list(ys), stream_rng(0, 0)).value.hex() == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("start", range(len(EDGE_STARTS)))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_starts(self, start, seed):
+        drive(*EDGE_STARTS[start], seed, 400)
+
+    def test_runs_to_the_step_floor(self):
+        xs, ys = EDGE_STARTS[0]
+        climb = _Restart(list(xs), list(ys), stream_rng(3, 0))
+        moves = 0
+        while climb.advance():
+            moves += 1
+        assert climb.step < _MIN_STEP and moves > 0
+        assert_state_is_recount(climb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(starts(), st.integers(0, 2**64 - 1))
+    @example(EDGE_STARTS[1], 7)
+    def test_fuzz(self, start, seed):
+        drive(*start, seed, 150)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(3, 16), st.integers(0, 2**64 - 1))
+    def test_fuzz_uniform_starts(self, n, seed):
+        rng = stream_rng(seed, 1)
+        pts = [rng.uniform() for _ in range(2 * n)]
+        drive(pts[0::2], pts[1::2], seed, 200)
 
 
 class TestCornersPlusRandom:

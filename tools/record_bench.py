@@ -1,0 +1,129 @@
+"""Record the end-to-end benchmark of two checkouts into one JSON file.
+
+Run it on two checkouts outside the working tree, say a ``git clone`` of
+the parent commit and a clone with the change's files copied in:
+
+    python3 tools/record_bench.py --parent ../parent --change ../change --out BENCH_pr8.json
+
+For every workload of BENCHMARK.json and every seed it runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+once in each checkout, back to back, alternating which side goes first
+from one pair to the next; T is BENCHMARK.json's ``run_seconds``.  The runs
+are sequential, so the two sides never share the machine.  The file holds
+the machine record of the first run, the code each side ran (see
+``code_id``), the seeds, each run's metrics in seed order and, per workload
+and side, the median and quartiles of ``op_cost``, ``setup_s``,
+``peak_rss_mb`` and ``ok_rate``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from statistics import median, quantiles
+
+METRICS = ("op_cost", "setup_s", "peak_rss_mb", "ok_rate")
+SIDES = ("parent", "change")
+DEFAULT_SEEDS = tuple(range(801, 811))  # ten pairs, the fewest a gain can rest on
+CODE_DIRS = ("src", "perfbench")  # what perfbench/run.py executes
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median, q1 and q3; the quartiles interpolate between order
+    statistics (``statistics.quantiles``, inclusive method)."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return {"median": median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict[str, list[dict]]) -> dict:
+    """Quartiles per side and metric from {side: [result object, ...]},
+    and the number of pairs in which the change's op_cost is lower."""
+    out = {side: {m: quartiles([r["metrics"][m]["value"] for r in runs[side]]) for m in METRICS}
+           for side in SIDES}
+    pairs = list(zip(runs["parent"], runs["change"]))
+    lower = sum(c["metrics"]["op_cost"]["value"] < p["metrics"]["op_cost"]["value"] for p, c in pairs)
+    out["op_cost_change_lower"] = f"{lower}/{len(pairs)}"
+    out["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
+    return out
+
+
+def code_id(root: Path) -> dict:
+    """HEAD's commit and the git tree id of each of CODE_DIRS as it stands
+    in the checkout, edits and new files included (ignored files are not).
+
+    The trees are written through a throwaway index, so neither HEAD nor
+    the checkout's index changes.  A tree id equals ``git rev-parse
+    C:src`` (or ``C:perfbench``) of any commit C with the same files, which
+    ties the numbers to a commit even when they were measured before it was
+    made.
+    """
+    def git(*args, env=None):
+        return subprocess.run(["git", *args], cwd=root, env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        env = os.environ | {"GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        git("add", "--all", "--", *CODE_DIRS, env=env)
+        tree = git("write-tree", env=env)
+    return {"commit": git("rev-parse", "HEAD")} | {d: git("rev-parse", f"{tree}:{d}") for d in CODE_DIRS}
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run in root: (detail record, result object)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    detail, result = proc.stdout.splitlines()[-2:]
+    return json.loads(detail), json.loads(result)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--seeds", type=lambda s: [int(v) for v in s.split(",")], default=list(DEFAULT_SEEDS),
+                   help="comma-separated seeds (default: %(default)s)")
+    p.add_argument("--workload", action="append", help="one workload (repeatable; default: all)")
+    args = p.parse_args(argv)
+
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    record = {"machine": None, "code": {side: code_id(roots[side]) for side in SIDES},
+              "seeds": args.seeds, "seconds": seconds, "workloads": {}}
+    pair = 0
+    for workload in workloads:
+        runs = {side: [] for side in SIDES}
+        for seed in args.seeds:
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                detail, result = run_once(roots[side], workload, seed, seconds)
+                record["machine"] = record["machine"] or detail["machine"]
+                runs[side].append(result)
+                print(f"{workload} seed {seed} {side}: op_cost {result['metrics']['op_cost']['value']:.6g}"
+                      f" correct {result['correct']}", file=sys.stderr)
+            pair += 1
+        record["workloads"][workload] = {
+            "summary": summarize(runs),
+            "runs": {side: [{m: r["metrics"][m]["value"] for m in METRICS} | {"correct": r["correct"]}
+                            for r in runs[side]] for side in SIDES},
+        }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
