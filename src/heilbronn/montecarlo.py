@@ -11,8 +11,13 @@ them, running the per-pivot scan behind ``min_area_triangle`` on all rows
 at once and keeping each row's minimum.  A block holds about
 ``_BLOCK_ELEMENTS`` elements per array, and since every trial is its own
 row, no result depends on the block size.  A run keeps its areas in one
-float64 array, 8 bytes a trial.  A grid trial is its sorted cell ids
-y*K + x (``_grid_cells``), and a block of them one int64 array.
+float64 array, 8 bytes a trial.
+
+A grid trial is its sorted cell ids y*K + x (``_grid_cells``), and a
+block of them one int64 array, drawn in one ``word_block`` call: the
+first n words of each trial's stream, shifted as ``below(K * K)`` shifts
+them, are its cells unless one is rejected (>= K^2) or repeated, and only
+such rows rerun the scalar rejection loop (``_grid_cell_block``).
 
 The headline experiment sweeps n and fits the exponent of the mean
 smallest triangle area, which scales like 1/n^3 for uniform random
@@ -39,7 +44,7 @@ from .geometry import (
     min_area_triangle,
     min_twice_area_rows,
 )
-from .rng import derive_seed, stream_rng, uniform_block
+from .rng import derive_seed, stream_rng, uniform_block, word_block
 
 #: elements per array of one block of trials: the pair gather of pivot 0,
 #: C(n-1, 2) per trial, or the 2n uniforms of a trial, whichever is larger
@@ -59,17 +64,39 @@ def sample_unit_square(n: int, seed: int, stream_id: int) -> PointSet:
     return PointSet(tuple(UnitPoint(x, y) for x, y in zip(u[0::2], u[1::2])))
 
 
+def _check_grid(K: int, n: int) -> None:
+    """Reject a grid trial that has no arrangement (or a side past
+    ``MAX_GRID_SIDE``) before any word is drawn."""
+    if not (2 <= K <= MAX_GRID_SIDE and 0 <= n <= K * K):
+        raise ValueError(f"no arrangement of n={n} pebbles on a K={K} grid")
+
+
 def _grid_cells(K: int, n: int, seed: int, stream_id: int) -> list[int]:
     """Sorted cell ids of a uniform arrangement of n pebbles on the K x K
     grid: rejection-sample distinct cells, which is exchangeable and
     therefore uniform on the cell set."""
-    if not (2 <= K <= MAX_GRID_SIDE and 0 <= n <= K * K):
-        raise ValueError(f"no arrangement of n={n} pebbles on a K={K} grid")
+    _check_grid(K, n)
     rng = stream_rng(seed, stream_id)
     cells: set[int] = set()
     while len(cells) < n:
         cells.add(rng.below(K * K))
     return sorted(cells)
+
+
+def _grid_cell_block(K: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, n) int64 array; row r holds ``_grid_cells(K, n, seed,
+    start + r)``.  The first n words of each stream, shifted to the top bits
+    that ``below(K * K)`` keeps, are that row's cells whenever all of them
+    fall below K^2 and are distinct; any other row is redrawn by
+    ``_grid_cells``."""
+    _check_grid(K, n)
+    bits = (K * K - 1).bit_length()
+    cells = (word_block(seed, start, stop, n) >> np.uint64(64 - bits)).astype(np.int64)
+    cells.sort(axis=1)
+    redraw = (cells >= K * K).any(axis=1) | (cells[:, 1:] == cells[:, :-1]).any(axis=1)
+    for r in np.flatnonzero(redraw).tolist():
+        cells[r] = _grid_cells(K, n, seed, start + r)
+    return cells
 
 
 def sample_grid_arrangement(K: int, n: int, seed: int, stream_id: int) -> GridArrangement:
@@ -263,8 +290,7 @@ def degenerate_structure_stats(K: int, n: int, trials: int, seed: int) -> Degene
     coll = shared = 0
     block = _block_trials(max(n, 3))
     for lo in range(0, trials, block):
-        cells = [_grid_cells(K, n, seed, t) for t in range(lo, min(lo + block, trials))]
-        ys, xs = np.divmod(np.array(cells, dtype=np.int64), K)
+        ys, xs = np.divmod(_grid_cell_block(K, n, seed, lo, min(lo + block, trials)), K)
         shared += int(np.count_nonzero((ys[:, 1:] == ys[:, :-1]).any(axis=1)))
         if n >= 3:
             coll += int(np.count_nonzero(min_twice_area_rows(xs, ys) == 0))

@@ -12,9 +12,19 @@ SplitMix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.  Distinct stream ids
 therefore yield decorrelated, order-independent streams.
 
 SplitMix64 is counter-based: word k (k >= 1) of a stream is
-``mix(state + k * GOLDEN)``, a function of the counter alone.  So
-``uniform_block`` draws the leading uniforms of many streams at once in
-wrapping numpy uint64 arithmetic, bit-identical to the scalar generator.
+``mix(state + k * GOLDEN)``, a function of the counter alone.  One word
+source, ``_stream_words``, computes such words for many streams and
+counters at once in wrapping numpy uint64 arithmetic, bit-identical to
+the scalar formula.  It has three users:
+
+- ``uniform_block``: the leading uniforms of many streams, one row per
+  Monte Carlo trial (through ``word_block``);
+- the grid trials of ``montecarlo``, which shift the leading words of a
+  block of streams to the bits ``below`` would keep (``word_block``);
+- the ``SplitMix64`` generator, which refills a word buffer ``_CHUNK``
+  words at a time and hands the words out one by one.
+
+The scalar finalizer ``mix64`` remains only for deriving stream states.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+
+#: words computed per refill of a ``SplitMix64`` buffer
+_CHUNK = 256
 
 
 def mix64(z: int) -> int:
@@ -33,56 +46,109 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """SplitMix64 sequence generator starting from an explicit state."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: int):
-        self._state = state & MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
-
-    def uniform(self) -> float:
-        """Uniform float64 in [0, 1) built from 53 random bits."""
-        return (self.next64() >> 11) * 2.0**-53
-
-    def below(self, bound: int) -> int:
-        """Unbiased uniform integer in [0, bound) via top-bits rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        bits = (bound - 1).bit_length()
-        if bits == 0:
-            return 0
-        while True:
-            r = self.next64() >> (64 - bits)
-            if r < bound:
-                return r
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_GOLDEN_U64 = np.uint64(GOLDEN)
 
 
 def _mix64_array(z: np.ndarray) -> None:
     """mix64 of every word of a uint64 array, in place; numpy array
     arithmetic wraps modulo 2^64 like the masks of the scalar version."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    t = z >> _U30
+    z ^= t
+    z *= _M1
+    np.right_shift(z, _U27, out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, _U31, out=t)
+    z ^= t
+
+
+def _stream_words(states: np.ndarray, first: int, width: int) -> np.ndarray:
+    """(len(states), width) uint64 array: row r holds words first ..
+    first + width - 1 of the stream with state ``states[r]``, word k
+    being the finalizer of ``states[r] + k * GOLDEN``."""
+    steps = np.arange(width, dtype=np.uint64)
+    steps *= _GOLDEN_U64
+    steps += np.uint64(first * GOLDEN & MASK64)
+    words = states[:, None] + steps
+    _mix64_array(words)
+    return words
+
+
+class SplitMix64:
+    """SplitMix64 sequence generator starting from an explicit state.
+
+    Words come from a buffer that ``_stream_words`` refills ``_CHUNK`` at a
+    time, so the sequence is the scalar one: word k is the finalizer of
+    ``state + k * GOLDEN``.
+    """
+
+    __slots__ = ("_state", "_next", "_buf")
+
+    def __init__(self, state: int):
+        self._state = np.array([state & MASK64], dtype=np.uint64)
+        self._next = 1  # counter of the first word of the next refill
+        self._buf: list[int] = []  # pending words, the next one last
+
+    def _refill(self) -> list[int]:
+        words = _stream_words(self._state, self._next, _CHUNK)[0]
+        self._next += _CHUNK
+        self._buf = buf = words[::-1].tolist()
+        return buf
+
+    def next64(self) -> int:
+        try:
+            return self._buf.pop()
+        except IndexError:
+            return self._refill().pop()
+
+    def uniform(self) -> float:
+        """Uniform float64 in [0, 1) built from 53 random bits."""
+        try:
+            word = self._buf.pop()
+        except IndexError:
+            word = self._refill().pop()
+        return (word >> 11) * 2.0**-53
+
+    def below(self, bound: int) -> int:
+        """Unbiased uniform integer in [0, bound) via top-bits rejection;
+        bound is at most 2^64, the range of one word."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        bits = (bound - 1).bit_length()
+        if bits > 64:
+            raise ValueError(f"bound must be at most 2**64, got {bound}")
+        if bits == 0:
+            return 0
+        shift = 64 - bits
+        buf = self._buf
+        while True:
+            try:
+                r = buf.pop() >> shift
+            except IndexError:
+                buf = self._refill()
+                r = buf.pop() >> shift
+            if r < bound:
+                return r
+
+
+def word_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """(stop - start, width) uint64 array; row r holds the first ``width``
+    words of stream (seed, start + r), as ``next64()`` returns them."""
+    state = np.arange(stop - start, dtype=np.uint64)
+    state += np.uint64(start & MASK64)
+    state *= _GOLDEN_U64
+    _mix64_array(state)
+    state ^= np.uint64(seed & MASK64)
+    _mix64_array(state)  # derive_state(seed, start + r)
+    return _stream_words(state, 1, width)
 
 
 def uniform_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """(stop - start, width) float64 array; row r holds the first ``width``
     ``uniform()`` values of stream (seed, start + r), bit for bit."""
-    state = np.arange(stop - start, dtype=np.uint64)
-    state += np.uint64(start & MASK64)
-    state *= np.uint64(GOLDEN)
-    _mix64_array(state)
-    state ^= np.uint64(seed & MASK64)
-    _mix64_array(state)  # derive_state(seed, start + r)
-    words = state[:, None] + np.arange(1, width + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    _mix64_array(words)
+    words = word_block(seed, start, stop, width)
     words >>= np.uint64(11)
     out = words.astype(np.float64)
     out *= 2.0**-53

@@ -107,6 +107,47 @@ def _per_trial_recount(K, n, trials, seed):
     return coll / trials, shared / trials
 
 
+def _count_redraws(monkeypatch) -> list[int]:
+    """Patch ``montecarlo._grid_cells`` to record the stream of every row
+    that a grid block redraws with the scalar loop."""
+    streams = []
+    scalar = montecarlo._grid_cells
+
+    def counted(K, n, seed, stream_id):
+        streams.append(stream_id)
+        return scalar(K, n, seed, stream_id)
+
+    monkeypatch.setattr(montecarlo, "_grid_cells", counted)
+    return streams
+
+
+class TestGridBlock:
+    # (K, n, whether some of the 60 rows must be redrawn): small grids
+    # reject words >= K^2 or repeat cells, up to the full grid n = K^2;
+    # at K = 2^20 and 2^30 a row of 16 words is taken as drawn
+    GRIDS = [(2, 0, False), (2, 1, False), (2, 3, True), (2, 4, True), (3, 2, True),
+             (3, 5, True), (3, 9, True), (5, 3, True), (5, 12, True), (5, 25, True),
+             (1000, 16, True), (1000, 40, True), (2**20, 16, False), (2**30, 16, False)]
+
+    @pytest.mark.parametrize("K,n,redraws", GRIDS)
+    def test_rows_are_the_scalar_draws(self, monkeypatch, K, n, redraws):
+        seed = derive_seed(9, K)
+        want = [montecarlo._grid_cells(K, n, seed, t) for t in range(40, 100)]
+        redrawn = _count_redraws(monkeypatch)
+        block = montecarlo._grid_cell_block(K, n, seed, 40, 100)
+        assert block.dtype == np.int64 and block.shape == (60, n)
+        assert block.tolist() == want
+        assert bool(redrawn) == redraws
+        assert set(redrawn) <= set(range(40, 100))
+
+    @pytest.mark.parametrize("K,n", [(1, 0), (2**30 + 1, 3), (3, 10), (4, -1)])
+    def test_rejects_what_grid_cells_rejects(self, K, n):
+        with pytest.raises(ValueError, match="no arrangement"):
+            montecarlo._grid_cell_block(K, n, 0, 0, 4)
+        with pytest.raises(ValueError, match="no arrangement"):
+            degenerate_structure_stats(K, n, 4, 0)
+
+
 class TestBlockIndependence:
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_trials_straddling_a_block(self, n):
@@ -134,12 +175,15 @@ class TestBlockIndependence:
                degenerate_structure_stats(6, 9, trials, seed))
         assert got == want
 
-    def test_degenerate_stats_match_per_trial_recount(self):
-        K, n = 8, 10
+    @pytest.mark.parametrize("K,n", [(8, 10), (3, 5)])
+    def test_degenerate_stats_match_per_trial_recount(self, monkeypatch, K, n):
         trials = _block_trials(n) + 2
+        want = _per_trial_recount(K, n, trials, 3)
+        redrawn = _count_redraws(monkeypatch)
         st = degenerate_structure_stats(K, n, trials, 3)
-        assert (st.collinear_fraction, st.shared_row_fraction) == _per_trial_recount(K, n, trials, 3)
+        assert (st.collinear_fraction, st.shared_row_fraction) == want
         assert 0 < st.collinear_fraction < 1
+        assert redrawn  # some rows were rejected or repeated a cell
 
     def test_degenerate_stats_build_no_arrangement(self, monkeypatch):
         K, n = 16, 8

@@ -1,0 +1,121 @@
+"""The one SplitMix64 word source against the scalar formula: word k of a
+stream with state s is ``mix64((s + k * GOLDEN) & MASK64)``.  The buffered
+generator must hand out exactly those words across refills, ``below`` must
+reject and retry as the scalar loop does when a retry crosses a refill,
+and ``word_block`` rows must be the streams' leading words."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from heilbronn.rng import (
+    GOLDEN,
+    MASK64,
+    SplitMix64,
+    _CHUNK,
+    derive_state,
+    mix64,
+    stream_rng,
+    uniform_block,
+    word_block,
+)
+
+STATES = [0, 1, MASK64, derive_state(2024, 7)]
+BOUNDS = [1, 2, 3, 12, 2**40 + 1, 2**64]
+
+
+class ScalarSplitMix64:
+    """The unbuffered generator: one ``mix64`` per word."""
+
+    def __init__(self, state: int):
+        self.state = state & MASK64
+        self.words = 0  # words drawn so far
+
+    def next64(self) -> int:
+        self.state = (self.state + GOLDEN) & MASK64
+        self.words += 1
+        return mix64(self.state)
+
+    def below(self, bound: int) -> int:
+        bits = (bound - 1).bit_length()
+        if bits == 0:
+            return 0
+        while True:
+            r = self.next64() >> (64 - bits)
+            if r < bound:
+                return r
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_next64_is_the_counter_formula_across_refills(state):
+    rng = SplitMix64(state)
+    for k in range(1, 3 * _CHUNK + 2):
+        assert rng.next64() == mix64((state + k * GOLDEN) & MASK64), k
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_uniform_is_the_top_53_bits(state):
+    rng, ref = SplitMix64(state), ScalarSplitMix64(state)
+    for _ in range(_CHUNK + 3):
+        assert rng.uniform() == (ref.next64() >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_below_matches_the_scalar_loop_across_refills(bound):
+    """Skip 0..15 words, then draw ``below`` over three refills; a draw whose
+    rejections run from one chunk into the next must occur for every bound
+    that rejects at all."""
+    straddled = False
+    for skip in range(16):
+        for state in STATES:
+            rng, ref = SplitMix64(state), ScalarSplitMix64(state)
+            for _ in range(skip):
+                assert rng.next64() == ref.next64()
+            while ref.words < 3 * _CHUNK + 2:
+                before = ref.words
+                want = ref.below(bound)
+                assert rng.below(bound) == want
+                if ref.words - before > 1 and before // _CHUNK != (ref.words - 1) // _CHUNK:
+                    straddled = True
+                if bound == 1:  # below(1) draws no word
+                    assert rng.next64() == ref.next64()
+            assert rng.next64() == ref.next64()  # both consumed the same words
+    rejects = (bound & (bound - 1)) != 0  # a power of two is never rejected
+    assert straddled == rejects
+
+
+@pytest.mark.parametrize("bound", [2**64 + 1, 2**65, 2**200])
+def test_below_rejects_a_bound_beyond_one_word(bound):
+    with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+        stream_rng(0, 0).below(bound)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_below_rejects_a_nonpositive_bound(bound):
+    with pytest.raises(ValueError, match="positive"):
+        stream_rng(0, 0).below(bound)
+
+
+@pytest.mark.parametrize("seed", [0, MASK64, derive_state(5, 5)])
+@pytest.mark.parametrize("start", [0, 1000, 2**63 - 2])
+def test_word_block_rows_are_the_scalar_streams(seed, start):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails
+        block = word_block(seed, start, start + 3, 2 * _CHUNK + 1)
+    assert block.shape == (3, 2 * _CHUNK + 1) and block.dtype == np.uint64
+    for r in range(3):
+        ref = ScalarSplitMix64(derive_state(seed, start + r))
+        assert block[r].tolist() == [ref.next64() for _ in range(2 * _CHUNK + 1)]
+
+
+def test_uniform_block_is_the_word_block_top_bits():
+    words = word_block(9, 4, 10, 7)
+    want = [[(w >> 11) * 2.0**-53 for w in row] for row in words.tolist()]
+    assert uniform_block(9, 4, 10, 7).tolist() == want
+
+
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_empty_word_block(width):
+    block = word_block(1, 5, 5, width)
+    assert block.shape == (0, width) and block.dtype == np.uint64
