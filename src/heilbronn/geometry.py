@@ -8,13 +8,53 @@ Two coordinate modes exist side by side and never mix:
   deterministic IEEE-754 with a fixed operation order, so pure-Python and
   vectorized paths return bit-identical values.
 
-There are two triple scans: ``_min_triple_exhaustive``, the pure-Python
-reference (test oracle, ``mode="exhaustive"`` and the optimizer's final
-re-verification), and ``_pivot_scan``, the one vectorised per-pivot scan
-over one point set or a batch of them.  It has two reductions:
-``min_twice_area_rows`` keeps each row's minimum (Monte Carlo trials), and
-``min_area_triangle`` keeps the lexicographically first minimal triple of
-a single set.
+There are three triple scans, all exact and all returning the same bits:
+
+* ``_min_triple_exhaustive``, the pure-Python reference (test oracle,
+  ``mode="exhaustive"`` and the optimizer's final re-verification);
+* ``_pivot_scan``, the vectorised per-pivot scan over one point set or a
+  batch of them, evaluating all C(n, 3) triples.  ``min_twice_area_rows``
+  runs it on rows of fewer than ``_WINDOW_MIN_N`` points, all rows at
+  once, and ``_pivot_first_min`` on sets outside the rounding model below;
+* ``_window_scan``, which evaluates only the triples an angular window
+  and a computed bound cannot rule out.  ``min_area_triangle(mode="fast")``
+  uses it for every set, and ``min_twice_area_rows`` row by row from
+  ``_WINDOW_MIN_N`` points on (the measured break-even is near n = 56).
+
+The windowed scan returns the minimum of the same computed values.  For a
+pivot i, let d_j = p_j - p_i (j > i) be the differences ``_pivot_scan``
+computes, r_j = |d_j|, and the value of a pair (j, k) the computed
+|fl(fl(dx_j dy_k) - fl(dy_j dx_k))|, the same for (k, j).
+
+* **Bound.**  Sort the d_j by direction mod pi.  U is the least value
+  over angularly adjacent pairs (the last with the first), taken over
+  the pivots scanned so far and every candidate evaluated so far.  It is
+  the value of a real triple, so the minimum is at most U.
+* **Candidates.**  With rho^2 = U * n, a vector is short when r^2 <= rho^2
+  (with a 2^-20 relative margin on the computed r^2), and long otherwise.
+  A pair is a candidate when one of its vectors is short, or when both
+  are long and their directions are within
+  alpha = arcsin(1/n + gamma) + pad of each other mod pi.
+* **Why every triple of value <= U is a candidate.**  Each product and the
+  difference round with relative error at most u = 2^-53, and
+  |dx_j dy_k| + |dy_j dx_k| <= r_j r_k (Cauchy-Schwarz), so a value
+  v <= U has |sin(angle)| <= v / ((1 - u) r_j r_k) + u.  Two long vectors
+  have r_j r_k > U * n, so |sin(angle)| < 1/n + gamma with gamma = 3u.
+  pad = 1e-9 covers the rounding of the computed directions, of arcsin
+  and of the sort keys (direction + 8 * row, rows local to a chunk of
+  at most 2^12 pivots, so a key stays below 2^15 and rounds by < 1e-11).
+  Int64 grid coordinates make every value exact.
+* **The rounding model** needs each product to be normal: float
+  coordinates with nonzero magnitudes in [2^-347, 2^399], or int64 ones
+  spanning less than 2^31 (``_window_exact``).  Any other set takes the
+  cubic scan.
+
+The minimal triples have value <= U, so all of them are candidates, and
+the smallest candidate (value, i, j, k) in lexicographic order is the
+cubic scan's answer, ties and +0.0 included.  Uniform random points give
+about n^2 / 7 candidates of the C(n, 3) triples; a set with many exactly
+collinear points can make every triple a candidate, evaluated in slices
+of ``_BLOCK_ELEMENTS``, and a zero minimum ends the scan.
 
 A grid point (i, j) maps to the unit-square point (i/(K-1), j/(K-1)); with
 that convention a nondegenerate grid triangle has area at least
@@ -25,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import asin, gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +74,17 @@ MAX_GRID_SIDE = 1 << 30  # guarantees twice-areas fit in int64 intermediates
 
 #: default tolerance on |twice signed area| for continuous collinearity
 EPS_COLLINEAR = 1e-15
+
+#: elements per array of one pivot chunk of ``_window_scan``, and per slice
+#: of its candidate pairs
+_BLOCK_ELEMENTS = 1 << 13
+#: the rounding term of the window: 3 units of float64 roundoff, 3 * 2^-53
+_GAMMA = 3 * 2.0**-53
+#: angular slack for the rounding of the directions, arcsin and the sort keys
+_PAD = 1e-9
+#: rows of ``min_twice_area_rows`` with this many points take ``_window_scan``
+#: one at a time; fewer take ``_pivot_scan`` all at once
+_WINDOW_MIN_N = 60
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -273,11 +324,176 @@ def _pivot_scan(xs: np.ndarray, ys: np.ndarray):
         yield i, jj, kk, cross
 
 
+def _pivot_first_min(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]:
+    """``_pivot_scan`` of one point set reduced to its lexicographically
+    first minimal triple: the first strict minimum over pivots, the first
+    argmin within a pivot."""
+    t = None
+    for p, jj, kk, cross in _pivot_scan(xs, ys):
+        pos = int(cross.argmin())
+        if t is None or cross[pos] < t:
+            t = cross[pos]
+            i, j, k = p, 1 + int(jj[pos]), 1 + int(kk[pos])
+    return i, j, k, t
+
+
+def _window_exact(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """True when the rounding model behind ``_window_scan`` holds: int64
+    coordinates spanning less than 2^31 (every cross is exact), or finite
+    floats whose nonzero magnitudes lie in [2^-347, 2^399].  Two such
+    floats differ by a multiple of the finer one's ulp, at least 2^-399,
+    so every nonzero difference lies in [2^-399, 2^400] and no product of
+    two differences underflows or overflows."""
+    if xs.dtype.kind != "f":
+        return all(int(v.max()) - int(v.min()) < 1 << 31 for v in (xs, ys))
+    v = np.abs(np.stack((xs, ys)))
+    return bool(v.max() <= 2.0**399 and v.min(initial=np.inf, where=v > 0) >= 2.0**-347)
+
+
+def _runs(starts: np.ndarray, stops: np.ndarray):
+    """Expand the runs ``range(starts[e], stops[e])`` into (owner e,
+    position) arrays, in slices of about ``_BLOCK_ELEMENTS`` positions (a
+    slice always takes at least one whole run)."""
+    lengths = np.maximum(stops - starts, 0)
+    ends = np.cumsum(lengths)
+    e0, done = 0, 0
+    total = int(ends[-1]) if ends.size else 0
+    while done < total:
+        e1 = max(e0 + 1, int(np.searchsorted(ends, done + _BLOCK_ELEMENTS, "right")))
+        ln = lengths[e0:e1]
+        stop = int(ends[e1 - 1])
+        pos = np.arange(done, stop) + np.repeat(starts[e0:e1] - (ends[e0:e1] - ln), ln)
+        yield np.repeat(np.arange(e0, e1), ln), pos
+        e0, done = e1, stop
+
+
+def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]:
+    """Lexicographically first minimal triple (i, j, k, |cross|) of one
+    float64 or int64 point set, evaluating only the candidate triples of
+    the module docstring; bit-identical to ``_pivot_first_min``.
+
+    Pivots run in chunks of consecutive points, each a (c, w) block of
+    differences of about ``_BLOCK_ELEMENTS`` elements (row r is pivot
+    a + r, column q point a + 1 + q, valid for q >= r), with one running
+    bound U that only decreases.  A chunk lists its valid points row by
+    row in direction order (the "flat order"); a window pair is two flat
+    positions whose keys, direction + 8 * row, differ by at most alpha."""
+    n = xs.shape[0]
+    if not _window_exact(xs, ys):
+        return _pivot_first_min(xs, ys)
+    alpha = asin(1.0 / n + _GAMMA) + _PAD
+    bound = best = None
+    a = 0
+    while a < n - 2:
+        w = n - 1 - a
+        c = min(max(1, _BLOCK_ELEMENTS // w), n - 2 - a)
+        dx = xs[a + 1 :] - xs[a : a + c, None]  # the differences of _pivot_scan
+        dy = ys[a + 1 :] - ys[a : a + c, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.divide(dy, dx)
+        np.arctan(theta, out=theta)  # direction mod pi, in [-pi/2, pi/2]
+        theta[np.isnan(theta)] = 0.0  # a repeated point; it is always short
+        rows = np.arange(c)
+        cols = np.arange(w)
+        theta[cols < rows[:, None]] = np.inf
+        m = w - rows
+        flat = np.argsort(theta, axis=1)
+        flat += rows[:, None] * w
+        flat = flat[cols < m[:, None]]  # each row's valid points by direction
+        first = np.cumsum(m) - m
+        end = first + m
+        theta = theta.ravel()[flat]
+        dx = dx.ravel()[flat]
+        dy = dy.ravel()[flat]
+
+        def cross(p, q):
+            t = dx[p] * dy[q]
+            t -= dy[p] * dx[q]
+            return np.abs(t, out=t)
+
+        # U: the angularly adjacent pairs of each pivot, the last with the first
+        adj = dx[:-1] * dy[1:]
+        adj -= dy[:-1] * dx[1:]
+        np.abs(adj, out=adj)
+        adj[first[1:] - 1] = adj[first[1:]]  # no pair across two pivots
+        adj = min(adj.min(), cross(first, end - 1).min())
+        bound = adj if bound is None else min(bound, adj)
+
+        # candidate pairs, evaluated in slices of about _BLOCK_ELEMENTS
+        owners, partners, size = [], [], 0
+
+        def flush():
+            nonlocal best, owners, partners, size
+            p, q = np.concatenate(owners), np.concatenate(partners)
+            owners, partners, size = [], [], 0
+            t = cross(p, q)
+            tmin = t.min()
+            if best is not None and tmin > best[0]:
+                return
+            at = np.flatnonzero(t == tmin)
+            lo, hi = np.minimum(flat[p[at]], flat[q[at]]), np.maximum(flat[p[at]], flat[q[at]])
+            x = int((lo * w + hi % w).argmin())  # lexicographic (row, j, k)
+            r, qj, qk = int(lo[x]) // w, int(lo[x]) % w, int(hi[x]) % w
+            cand = (tmin, a + r, a + 1 + qj, a + 1 + qk)
+            if best is None or cand < best:
+                best = cand
+
+        def add(p, q):
+            nonlocal size
+            if size + p.size > _BLOCK_ELEMENTS and size:
+                flush()
+            owners.append(p)
+            partners.append(q)
+            size += p.size
+
+        def live(p):
+            # after a zero minimum only pivots up to its own can still win
+            if best is None or best[0]:
+                return p
+            return p[: np.searchsorted(p, end[best[1] - a])]
+
+        # a direction within alpha of -pi/2 also has partners across pi/2
+        wp = np.flatnonzero(theta <= 2 * alpha - np.pi / 2)
+        key = theta
+        key += np.repeat(8.0 * rows, m)  # keys sorted across the whole chunk
+
+        # window pairs, one offset s = q - p at a time: keys are sorted, so
+        # an owner whose offset s falls outside its window is done
+        p = np.flatnonzero(key[1:] <= key[:-1] + alpha)
+        s = 1
+        while p.size:
+            add(p, p + s)
+            s += 1
+            p = live(p[: np.searchsorted(p, flat.size - s)])
+            p = p[key[p + s] <= key[p] + alpha]
+        # the pairs across pi/2, and each short point with the rest of its row
+        wp = live(wp)
+        wrap = np.maximum(np.searchsorted(key, key[wp] + (np.pi - alpha)), wp + 1)
+        sh = live(np.flatnonzero(dx * dx + dy * dy <= float(bound) * n * (1 + 2.0**-20)))
+        sh_row = flat[sh] // w
+        starts = np.concatenate((wrap, first[sh_row], sh + 1))
+        stops = np.concatenate((end[flat[wp] // w], sh, end[sh_row]))
+        run_owner = np.concatenate((wp, sh, sh))
+        for e, q in _runs(starts, stops):
+            add(run_owner[e], q)
+        if size:
+            flush()
+        if not best[0]:
+            break  # no later pivot can beat or tie a zero minimum first
+        bound = min(bound, best[0])
+        a += c
+    return best[1], best[2], best[3], best[0]
+
+
 def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Minimum |cross| over all triples of each row of (B, n) coordinates:
-    ``_pivot_scan`` reduced per pivot by a row minimum."""
+    ``_window_scan`` row by row from ``_WINDOW_MIN_N`` points on, below it
+    ``_pivot_scan`` on all rows at once, reduced per pivot by a row minimum."""
     if xs.shape[1] < 3:
         raise ValueError("need at least 3 points for a triangle")
+    if xs.shape[1] >= _WINDOW_MIN_N:
+        dtype = np.result_type(xs, ys)
+        return np.array([_window_scan(x, y)[3] for x, y in zip(xs, ys)], dtype=dtype)
     best = None
     for _, _, _, cross in _pivot_scan(xs, ys):
         row_min = cross.min(axis=1)
@@ -289,8 +505,8 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
     """Smallest-area triangle over all C(n,3) triples of a point set.
 
     Accepts a PointSet (continuous) or GridArrangement (grid).  Both modes
-    return the exact minimum; 'fast' runs ``_pivot_scan`` on the set as one
-    row and is guaranteed (and tested) to match the 'exhaustive' reference,
+    return the exact minimum; 'fast' runs ``_window_scan`` on the set and
+    is guaranteed (and tested) to match the 'exhaustive' reference,
     including the lexicographically-smallest-index tie-break.
     """
     if mode not in ("exhaustive", "fast"):
@@ -306,14 +522,7 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
         # tolist gives Python ints for int64 and floats for float64
         i, j, k, t = _min_triple_exhaustive(arr[:, 0].tolist(), arr[:, 1].tolist())
     else:
-        # first strict minimum over pivots, first argmin within a pivot:
-        # the lexicographically smallest minimal triple
-        t = None
-        for p, jj, kk, cross in _pivot_scan(arr[:, 0], arr[:, 1]):
-            pos = int(cross.argmin())
-            if t is None or cross[pos] < t:
-                t = cross[pos]
-                i, j, k = p, 1 + int(jj[pos]), 1 + int(kk[pos])
+        i, j, k, t = _window_scan(arr[:, 0], arr[:, 1])
 
     if grid:
         t = int(t)

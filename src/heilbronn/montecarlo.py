@@ -6,9 +6,10 @@ per-trial values in trial order with exact (Shewchuk) summation, so
 results are bit-identical for any worker count or scheduling.
 
 Trials run in blocks: one ``uniform_block`` call draws the points of a
-block of consecutive trials and one ``min_twice_area_rows`` call scans
-them, running the per-pivot scan behind ``min_area_triangle`` on all rows
-at once and keeping each row's minimum.  A block holds about
+block of consecutive trials and one ``min_twice_area_rows`` call keeps
+each row's minimum (the per-pivot scan on all rows at once below
+``geometry._WINDOW_MIN_N`` points, the windowed scan one row at a time
+from there on; at that size a block is a few trials).  A block holds about
 ``_BLOCK_ELEMENTS`` elements per array, and since every trial is its own
 row, no result depends on the block size.  A run keeps its areas in one
 float64 array, 8 bytes a trial.

@@ -21,8 +21,9 @@ the scalar formula.  It has three users:
   Monte Carlo trial (through ``word_block``);
 - the grid trials of ``montecarlo``, which shift the leading words of a
   block of streams to the bits ``below`` would keep (``word_block``);
-- the ``SplitMix64`` generator, which refills a word buffer ``_CHUNK``
-  words at a time and hands the words out one by one.
+- the ``SplitMix64`` generator, which refills a word buffer with 16
+  words, then twice as many each time up to ``_CHUNK``, and hands the
+  words out one by one.
 
 The scalar finalizer ``mix64`` remains only for deriving stream states.
 """
@@ -34,7 +35,9 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-#: words computed per refill of a ``SplitMix64`` buffer
+#: words computed by the first refill of a ``SplitMix64`` buffer; each
+#: later refill doubles it, up to ``_CHUNK`` words
+_FIRST_REFILL = 16
 _CHUNK = 256
 
 
@@ -79,21 +82,26 @@ def _stream_words(states: np.ndarray, first: int, width: int) -> np.ndarray:
 class SplitMix64:
     """SplitMix64 sequence generator starting from an explicit state.
 
-    Words come from a buffer that ``_stream_words`` refills ``_CHUNK`` at a
-    time, so the sequence is the scalar one: word k is the finalizer of
-    ``state + k * GOLDEN``.
+    Words come from a buffer that ``_stream_words`` refills with the next
+    consecutive counters, so the sequence is the scalar one: word k is the
+    finalizer of ``state + k * GOLDEN``.  The first refill computes
+    ``_FIRST_REFILL`` words and each later one twice as many, up to
+    ``_CHUNK``, so a stream that draws a few words pays for a few.
     """
 
-    __slots__ = ("_state", "_next", "_buf")
+    __slots__ = ("_state", "_next", "_width", "_buf")
 
     def __init__(self, state: int):
         self._state = np.array([state & MASK64], dtype=np.uint64)
         self._next = 1  # counter of the first word of the next refill
+        self._width = _FIRST_REFILL  # words of the next refill
         self._buf: list[int] = []  # pending words, the next one last
 
     def _refill(self) -> list[int]:
-        words = _stream_words(self._state, self._next, _CHUNK)[0]
-        self._next += _CHUNK
+        width = self._width
+        words = _stream_words(self._state, self._next, width)[0]
+        self._next += width
+        self._width = min(2 * width, _CHUNK)
         self._buf = buf = words[::-1].tolist()
         return buf
 

@@ -16,7 +16,7 @@ comparisons in codec paths use exact integer arithmetic, never float.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as _E, gcd, log2
@@ -560,19 +560,38 @@ def intercept_spacings(
     return InterceptWindow(row, tuple(xs), spacings, window, D, B)
 
 
-def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> set[int]:
-    """Grid columns of ``row`` strictly within distance 2A of any stored
-    line's intercept, where A = T_min / (2(K-1)^2).  Exact integers."""
+def _excluded_intervals(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> list[tuple[int, int]]:
+    """The columns of ``excluded_columns`` as sorted, disjoint, non-adjacent
+    inclusive intervals [lo, hi]: one per stored line, then merged, so the
+    cost grows with the number of lines, not with K."""
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
     S = K - 1
-    out: set[int] = set()
-    for seg in f.segments:
-        # intercept num/den +- radius T_min/S, over the common denominator
-        num, den = _intercept(seg, row)
-        lo, hi, q = num * S - T_min * den, num * S + T_min * den, den * S
-        out.update(range(max(0, lo // q + 1), min(S, _ceil_div(hi, q) - 1) + 1))
-    return out
+    spans = []
+    for (x1, y1), (x2, y2) in f.segments:
+        # _intercept's num/den +- radius T_min/S, over the common denominator
+        num, den = x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2
+        if den < 0:
+            num, den = -num, -den
+        q = den * S
+        lo = max(0, (num * S - T_min * den) // q + 1)
+        hi = min(S, -((-num * S - T_min * den) // q) - 1)
+        if lo <= hi:
+            spans.append((lo, hi))
+    spans.sort()
+    merged: list[tuple[int, int]] = []
+    for lo, hi in spans:
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> set[int]:
+    """Grid columns of ``row`` strictly within distance 2A of any stored
+    line's intercept, where A = T_min / (2(K-1)^2).  Exact integers."""
+    return {c for lo, hi in _excluded_intervals(row, f, T_min, K) for c in range(lo, hi + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +642,16 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
 
     lower_bits = BitString()
     for p in lower:
-        excl = sorted(excluded_columns(p.y, flines, T_min, K))
-        at = bisect_left(excl, p.x)
-        if at < len(excl) and excl[at] == p.x:
-            raise ValueError(
-                f"internal consistency failure: pebble column {p.x} on row {p.y} "
-                "is inside its own excluded set"
-            )
-        rank = p.x - at
+        rank = p.x
+        for lo, hi in _excluded_intervals(p.y, flines, T_min, K):
+            if lo > p.x:
+                break
+            if p.x <= hi:
+                raise ValueError(
+                    f"internal consistency failure: pebble column {p.x} on row {p.y} "
+                    "is inside its own excluded set"
+                )
+            rank -= hi - lo + 1
         lower_bits = lower_bits + sd_prime(nat_to_string(rank))
 
     payload = header + rows_bits + upper_bits + lower_bits
@@ -666,8 +687,15 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
     pts = list(upper)
     for r in rows_desc[n // 2 :]:
         rank = string_to_nat(sd_unprime(reader))
-        excl = sorted(excluded_columns(r, flines, T_min, K))
-        col = _unrank_allowed(rank, excl, K)
+        spans = _excluded_intervals(r, flines, T_min, K)
+        allowed = K - sum(hi - lo + 1 for lo, hi in spans)
+        if rank >= allowed:
+            raise DecodeError(f"rank {rank} out of range for {allowed} allowed positions")
+        col = rank
+        for lo, hi in spans:  # skip every excluded column at or below col
+            if lo > col:
+                break
+            col += hi - lo + 1
         pts.append(GridPoint(col, r))
     reader.expect_end()
     try:

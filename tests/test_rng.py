@@ -14,6 +14,7 @@ from heilbronn.rng import (
     MASK64,
     SplitMix64,
     _CHUNK,
+    _FIRST_REFILL,
     derive_state,
     mix64,
     stream_rng,
@@ -23,6 +24,21 @@ from heilbronn.rng import (
 
 STATES = [0, 1, MASK64, derive_state(2024, 7)]
 BOUNDS = [1, 2, 3, 12, 2**40 + 1, 2**64]
+
+
+def refill_ends(limit: int) -> list[int]:
+    """Counters of the last word of each refill, up to ``limit``: the
+    refills hold 16, 32, 64, 128 words and then ``_CHUNK`` each."""
+    ends, width, end = [], _FIRST_REFILL, 0
+    while end < limit:
+        end += width
+        ends.append(end)
+        width = min(2 * width, _CHUNK)
+    return ends
+
+
+# the growing refills end at word 240, then three whole _CHUNK refills
+WORDS = 240 + 3 * _CHUNK + 1
 
 
 class ScalarSplitMix64:
@@ -50,33 +66,46 @@ class ScalarSplitMix64:
 @pytest.mark.parametrize("state", STATES)
 def test_next64_is_the_counter_formula_across_refills(state):
     rng = SplitMix64(state)
-    for k in range(1, 3 * _CHUNK + 2):
+    for k in range(1, WORDS + 1):
         assert rng.next64() == mix64((state + k * GOLDEN) & MASK64), k
+
+
+def test_refills_start_small_and_double_up_to_the_chunk():
+    assert refill_ends(1000)[:7] == [16, 48, 112, 240, 496, 752, 1008]
+    rng = SplitMix64(3)
+    computed = []
+    for _ in range(1008):
+        rng.next64()
+        computed.append(rng._next - 1)  # words computed so far
+    # the k-th draw has computed exactly the refills that reach word k
+    ends = refill_ends(1008)
+    assert computed == [next(e for e in ends if e >= k) for k in range(1, 1009)]
 
 
 @pytest.mark.parametrize("state", STATES)
 def test_uniform_is_the_top_53_bits(state):
     rng, ref = SplitMix64(state), ScalarSplitMix64(state)
-    for _ in range(_CHUNK + 3):
+    for _ in range(WORDS):
         assert rng.uniform() == (ref.next64() >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_below_matches_the_scalar_loop_across_refills(bound):
-    """Skip 0..15 words, then draw ``below`` over three refills; a draw whose
-    rejections run from one chunk into the next must occur for every bound
-    that rejects at all."""
+    """Skip 0..15 words, then draw ``below`` over the growing refills and
+    three whole ``_CHUNK`` refills; a draw whose rejections run from one
+    refill into the next must occur for every bound that rejects at all."""
+    ends = refill_ends(WORDS)
     straddled = False
     for skip in range(16):
         for state in STATES:
             rng, ref = SplitMix64(state), ScalarSplitMix64(state)
             for _ in range(skip):
                 assert rng.next64() == ref.next64()
-            while ref.words < 3 * _CHUNK + 2:
+            while ref.words < WORDS:
                 before = ref.words
                 want = ref.below(bound)
                 assert rng.below(bound) == want
-                if ref.words - before > 1 and before // _CHUNK != (ref.words - 1) // _CHUNK:
+                if any(before < e < ref.words for e in ends):
                     straddled = True
                 if bound == 1:  # below(1) draws no word
                     assert rng.next64() == ref.next64()

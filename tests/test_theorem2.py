@@ -1,5 +1,9 @@
+import hashlib
+import json
+import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from heilbronn.geometry import GridArrangement, min_area_triangle
 from heilbronn.witnesses import (
     ForbiddingLineSet,
     count_forbidding_lines,
+    _excluded_intervals,
+    _theorem2_widths,
     decode_witness,
     encode_theorem2,
     excluded_columns,
@@ -17,9 +23,12 @@ from heilbronn.witnesses import (
     upper_bound_formula,
 )
 
+from heilbronn.rng import stream_rng
+
 from conftest import distinct_row_arrangement
 
 K20 = 1 << 20
+GOLDEN = json.loads((Path(__file__).parent / "data" / "theorem2_golden.json").read_text())
 
 
 class TestSplitRow:
@@ -285,3 +294,60 @@ class TestUpperBoundFormula:
             upper_bound_formula(1, 10, C1=0)
         with pytest.raises(ValueError):
             upper_bound_formula(1, 10, slack=-1)
+
+
+def _excluded_set_oracle(row, f, T_min, K):
+    """Every column strictly within T_min / (K - 1) columns of a stored
+    line's exact intercept, tested one column at a time."""
+    radius = Fraction(T_min, K - 1)
+    out = set()
+    for (x1, y1), (x2, y2) in f.segments:
+        xi = Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2)
+        out.update(c for c in range(K) if abs(c - xi) < radius)
+    return out
+
+
+class TestExclusionIntervals:
+    def test_intervals_match_the_set_oracle(self):
+        # every grid side 3..12, random segments crossing the split row,
+        # every row below it and radii from 0 past the whole row
+        rng = stream_rng(103, 0)
+        for K in range(3, 13):
+            split = (K - 1) // 2
+            for _ in range(6):
+                segs = []
+                for _ in range(1 + rng.below(4)):
+                    seg = ((rng.below(K), split + 1 + rng.below(K - split - 1)), (rng.below(K), rng.below(split + 1)))
+                    segs.append(seg if rng.below(2) else seg[::-1])
+                f = ForbiddingLineSet(K, split, (), tuple(segs), 0, 0)
+                for row in range(split + 1):
+                    for T_min in (0, 1, 1 + rng.below(2 * K), (K - 1) ** 2):
+                        spans = _excluded_intervals(row, f, T_min, K)
+                        want = _excluded_set_oracle(row, f, T_min, K)
+                        assert excluded_columns(row, f, T_min, K) == want
+                        assert {c for lo, hi in spans for c in range(lo, hi + 1)} == want
+                        # sorted, disjoint and not adjacent: merged
+                        assert all(lo <= hi for lo, hi in spans)
+                        assert all(b[0] > a[1] + 1 for a, b in zip(spans, spans[1:]))
+
+    def test_payloads_match_the_golden(self):
+        # digests of encode_theorem2 payload hex recorded before the
+        # exclusions became intervals; every round trip still decodes
+        for label, want in GOLDEN.items():
+            K, n, seed, stream = (int(v.split("=")[1]) for v in label.split(","))
+            a = distinct_row_arrangement(K, n, seed, stream)
+            payload = encode_theorem2(a).payload
+            assert hashlib.sha256(payload.to_hex().encode()).hexdigest() == want, label
+            assert decode_witness("theorem2", payload, K, n) == a
+
+    def test_hostile_header_fails_fast(self):
+        # a header claiming the largest twice-area excludes every column of
+        # every lower row; the decoder must refuse without listing them
+        K, n = K20, 200
+        payload = encode_theorem2(distinct_row_arrangement(K, n, seed=62)).payload
+        header_w = _theorem2_widths(K, n)[0]
+        hostile = BitString.from_int((K - 1) ** 2, header_w) + payload[header_w:]
+        t0 = time.perf_counter()
+        with pytest.raises(DecodeError, match="out of range"):
+            decode_witness("theorem2", hostile, K, n)
+        assert time.perf_counter() - t0 < 0.1
