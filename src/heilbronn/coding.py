@@ -12,16 +12,17 @@ that bijection:
 
 Arrangements are ranked in the combinatorial number system over row-major
 cell ids, entirely in exact integer arithmetic, at a cost of one exact
-``comb`` per element: ranking sums one binomial per cell, and unranking
-walks the binomials greedily from a float estimate (see
-``unrank_combination``).  ``baseline_length(K, n)`` is the exact
-ceil(log2 C(K^2, n)), the incompressible description size.
+falling factorial ``perm`` per element and no ``comb``: ranking sums the
+binomials scaled by k! (see ``rank_combination``), and unranking walks
+them greedily from a float estimate (see ``unrank_combination``).
+``baseline_length(K, n)`` is the exact ceil(log2 C(K^2, n)), the
+incompressible description size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, lgamma, log
+from math import comb, exp, expm1, factorial, log, log1p, perm
 
 from .geometry import GridArrangement, GridPoint
 
@@ -104,7 +105,7 @@ class BitReader:
     def remaining(self) -> int:
         return len(self._bits) - self.pos
 
-    def read(self, k: int) -> BitString:
+    def _take(self, k: int) -> str:
         if k < 0:
             raise ValueError("cannot read a negative number of bits")
         if self.pos + k > len(self._bits):
@@ -114,10 +115,24 @@ class BitReader:
             )
         out = self._bits[self.pos : self.pos + k]
         self.pos += k
-        return BitString(out)
+        return out
+
+    def read(self, k: int) -> BitString:
+        return BitString(self._take(k))
 
     def read_uint(self, width: int) -> int:
-        return self.read(width).to_int()
+        bits = self._take(width)
+        return int(bits, 2) if bits else 0
+
+    def read_ones(self) -> int:
+        """Consume a run of 1 bits and the 0 that ends it; return the run's length."""
+        end = self._bits.find("0", self.pos)
+        if end < 0:
+            self.pos = len(self._bits)
+            self._take(1)  # raises: the stream ends inside the run
+        n = end - self.pos
+        self.pos = end + 1
+        return n
 
     def expect_end(self):
         if self.pos != len(self._bits):
@@ -144,13 +159,7 @@ def sd_bar(x: BitString) -> BitString:
 
 def sd_unbar(reader: BitReader) -> BitString:
     """Consume one sd_bar code word from the stream and return its payload."""
-    n = 0
-    while True:
-        bit = reader.read(1).bits
-        if bit == "0":
-            break
-        n += 1
-    return reader.read(n)
+    return reader.read(reader.read_ones())
 
 
 def sd_prime(x: BitString) -> BitString:
@@ -185,22 +194,24 @@ def rank_combination(cells: tuple[int, ...], m: int) -> int:
     """Lexicographic rank of a strictly increasing combination from range(m).
 
     The reflected cells x_i = m - 1 - c_i decrease, and the rank is
-    C(m, k) - 1 - sum_i C(x_i, k - i): one exact ``comb`` per element.
+    C(m, k) - 1 - sum_i C(x_i, k - i).  As r! C(x, r) = perm(x, r), the
+    sum times k! is taken by Horner, acc = acc * r + perm(x, r) for
+    r = 1, ..., k, and divided once by k!: one exact ``perm`` per element.
     """
-    k = len(cells)
-    colex = 0
+    acc = 0
     prev = -1
-    for i, c in enumerate(cells):
-        if not (prev < c < m):
+    for r, c in enumerate(reversed(cells), 1):
+        x = m - 1 - c
+        if not prev < x < m:
             raise ValueError("cells must be strictly increasing within range(m)")
-        colex += comb(m - 1 - c, k - i)
-        prev = c
-    return comb(m, k) - 1 - colex
+        acc = acc * r + perm(x, r)
+        prev = x
+    return (perm(m, len(cells)) - acc) // factorial(len(cells)) - 1
 
 
-# Ratio steps C(x +- 1, r) tried before a fresh ``comb``, and before the
+# Ratio steps perm(x +- 1, r) tried before a fresh ``perm``, and before the
 # bisection fallback: a step is one big-by-small multiply and exact divide,
-# 20-100 times cheaper than ``comb`` at the codecs' sizes.
+# several times cheaper than ``perm`` at the codecs' sizes.
 _STEPS = 16
 
 
@@ -209,71 +220,81 @@ def unrank_combination(rank: int, k: int, m: int) -> tuple[int, ...]:
 
     With u = C(m, k) - 1 - rank, each element takes the largest x with
     C(x, r) <= u for r = k, ..., 1, and is m - 1 - x (Buckles & Lybanon,
-    "Algorithm 515", ACM TOMS 1977; Knuth, TAOCP 4A 7.2.1.3).  C(x, r) of
-    one element gives C(x - 1, r - 1) of the next by one exact division,
-    so an element costs one exact ``comb`` (see ``_comb_floor``), and none
-    where its x lies within a few steps of the previous one.  Past
-    m ~ 2^50 the float estimate misses by more than ``_STEPS`` and a
-    bisection finishes the element, as every element once did.
+    "Algorithm 515", ACM TOMS 1977; Knuth, TAOCP 4A 7.2.1.3).  The walk
+    compares falling factorials with V = u r! instead, so nothing divides
+    by r!: an element's P = perm(x, r) leaves V = (V - P) / r for r - 1, and
+    P / x = perm(x - 1, r - 1) bounds the next element.  An element costs
+    one exact ``perm`` (see ``_perm_floor``), two where the float estimate
+    misses, and none where x lies within a few steps of the previous one.
     """
-    total = comb(m, k)
-    if not 0 <= rank < total:
+    total = perm(m, k)
+    V = total - (rank + 1) * factorial(k)
+    if rank < 0 or V < 0:
         raise ValueError(f"rank {rank} out of range for C({m}, {k})")
-    u = total - 1 - rank
     out: list[int] = []
-    hi = m - 1
-    top = total * (m - k) // m if k else 0  # C(hi, r), here C(m - 1, k)
+    P, x = total * (m - k), m  # perm(x - 1, r) = P // x
     for r in range(k, 0, -1):
-        if u == 0:
-            # only C(x, r) = 0, i.e. x < r, fits: x runs r - 1, r - 2, ..., 0
+        if V == 0:
+            # only perm(x, r) = 0, i.e. x < r, fits: x runs r - 1, r - 2, ..., 0
             out.extend(range(m - r, m))
             break
-        x, c = (hi, top) if top <= u else _comb_floor(u, r, hi, top)
+        x, P = (x - 1, P // x) if P < (V + 1) * x else _perm_floor(V, r, P, x)
         out.append(m - 1 - x)
-        u -= c
-        top = c * r // x  # C(x - 1, r - 1)
-        hi = x - 1
+        V = (V - P) // r
     return tuple(out)
 
 
-def _comb_floor(u: int, r: int, hi: int, top: int) -> tuple[int, int]:
-    """Largest x < hi with C(x, r) <= u, and that C(x, r); needs
-    C(hi, r) = top > u >= 1, so x >= r.
+def _perm_floor(V: int, r: int, P: int, y: int) -> tuple[int, int]:
+    """Largest x < y - 1 with perm(x, r) <= V, and that perm(x, r); needs
+    perm(y - 1, r) = P // y > V >= r!, so x >= r.
 
-    The walk starts at hi, or, if a float estimate of x lies more than
-    ``_STEPS`` below hi, at the estimate with one exact ``comb``.  Exact
-    ratio steps then find the boundary; should ``_STEPS`` of them not
-    reach it, a bisection of the bracket they leave does.
+    A float estimate of x more than ``_STEPS`` below y - 1 costs one exact
+    ``perm``; two products confirm it, or the exact ratio V / perm(x, r)
+    re-anchors it once more.  Exact ratio steps then find the boundary;
+    should ``_STEPS`` of them not reach it (the floats overflow past
+    m ~ 2^1000), a bisection of the bracket they leave does.
     """
-    x, c = hi, top
-    if hi - r > _STEPS:
-        # C(x, r) ~ a^r / r! * exp(-r (r^2 - 1) / (24 a^2)), a = x - (r - 1) / 2;
-        # the clamp keeps exp finite past float range, where the bisection works
-        a = exp(min((log(u) + lgamma(r + 1)) / r, 700.0))
-        est = max(int(a + (r * r - 1) / (24 * a) + (r - 1) / 2), r)
-        if est < hi - _STEPS:
-            x, c = est, comb(est, r)
-    if c > u:
+    x, c = y - 1, None
+    if x - r > _STEPS:
+        # perm(x, r) ~ a^r exp(-r (r^2 - 1) / (24 a^2)), a = x - (r - 1) / 2;
+        # the clamp keeps exp finite past float range
+        a = exp(min(log(V) / r, 700.0))
+        t = int(a + (r * r - 1) / (24 * a) + (r - 1) / 2)
+        for _ in range(2):
+            if abs(t - x) <= _STEPS:
+                break
+            x = min(max(t, r), y - 2)
+            c = perm(x, r)
+            if c <= V and c * (x + 1) > V * (x + 1 - r):  # perm(x + 1, r) > V
+                return x, c
+            # perm(t, r) / perm(x, r) ~ ((t - s) / (x - s))^r = V / perm(x, r), s = (r - 1) / 2
+            try:
+                t = x + round((x - (r - 1) / 2) * expm1(log1p((V - c) / c) / r))
+            except OverflowError:
+                break
+    if c is None:
+        c = P // y
+    if c > V:
         for _ in range(_STEPS):
             c = c * (x - r) // x
             x -= 1
-            if c <= u:
+            if c <= V:
                 return x, c
         lo, up = r, x
     else:
         for _ in range(_STEPS):
-            nxt = c * (x + 1) // (x + 1 - r)
-            if nxt > u:
+            nxt = c * (x + 1)
+            if nxt > V * (x + 1 - r):
                 return x, c
-            x, c = x + 1, nxt
-        lo, up = x, hi
+            x, c = x + 1, nxt // (x + 1 - r)
+        lo, up = x, y - 1
     while up - lo > 1:
         mid = (lo + up) // 2
-        if comb(mid, r) <= u:
+        if perm(mid, r) <= V:
             lo = mid
         else:
             up = mid
-    return lo, comb(lo, r)
+    return lo, perm(lo, r)
 
 
 @dataclass(frozen=True)

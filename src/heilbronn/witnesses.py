@@ -16,11 +16,10 @@ comparisons in codec paths use exact integer arithmetic, never float.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as _E, gcd, log2
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -245,7 +244,11 @@ def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
         raise DecodeError(f"line through pebbles {i} and {j} holds no third grid point")
     pos = reader.read_uint(ceil_log2(t_hi - t_lo - 1))
     # slots are counted from t_lo; P and Q hold slots -t_lo and t_Q - t_lo
-    t = t_lo + _unrank_allowed(pos, sorted((-t_lo, t_Q - t_lo)), t_hi - t_lo + 1)
+    if pos >= t_hi - t_lo - 1:
+        raise DecodeError(f"rank {pos} out of range for {t_hi - t_lo - 1} allowed positions")
+    first, second = sorted((-t_lo, t_Q - t_lo))
+    slot = pos + (pos >= first)
+    t = t_lo + slot + (slot >= second)
     reader.expect_end()
     return _insert_point(K, sub, GridPoint(P.x + t * dx, P.y + t * dy))
 
@@ -560,38 +563,54 @@ def intercept_spacings(
     return InterceptWindow(row, tuple(xs), spacings, window, D, B)
 
 
-def _excluded_intervals(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> list[tuple[int, int]]:
-    """The columns of ``excluded_columns`` as sorted, disjoint, non-adjacent
-    inclusive intervals [lo, hi]: one per stored line, then merged, so the
-    cost grows with the number of lines, not with K."""
+def _exclusion_runs(
+    rows: Sequence[int], f: ForbiddingLineSet, T_min: int, K: int
+) -> Iterator[list[tuple[int, int]]]:
+    """The excluded columns of each of ``rows`` in turn, as sorted, disjoint,
+    non-adjacent inclusive intervals [lo, hi], so the cost grows with the
+    number of lines, not with K.
+
+    A line with intercept num / den (den > 0) excludes the columns from
+    floor((num S - T_min den) / (den S)) + 1 to
+    ceil((num S + T_min den) / (den S)) - 1, S = K - 1, clipped to [0, S].
+    With num = a den + b and T_min = t1 S + t0, both b S and t0 den lie in
+    [0, den S), so these are a - t1 + 1 - [b S < t0 den] and
+    a + t1 - 1 + [z > 0] + [z > den S], z = b S + t0 den: one small
+    ``divmod`` per line and row, the rest precomputed per line.
+    """
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
     S = K - 1
-    spans = []
-    for (x1, y1), (x2, y2) in f.segments:
-        # _intercept's num/den +- radius T_min/S, over the common denominator
-        num, den = x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2
-        if den < 0:
-            num, den = -num, -den
-        q = den * S
-        lo = max(0, (num * S - T_min * den) // q + 1)
-        hi = min(S, -((-num * S - T_min * den) // q) - 1)
-        if lo <= hi:
-            spans.append((lo, hi))
-    spans.sort()
-    merged: list[tuple[int, int]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    t1, t0 = divmod(T_min, S)
+    lines = []
+    for u, v in f.segments:
+        (x1, y1), (x2, y2) = (u, v) if u[1] > v[1] else (v, u)
+        den, d = y1 - y2, x1 - x2  # num = x2 den - y2 d + row d, as in _intercept
+        lines.append((x2 * den - y2 * d, d, den, t0 * den, den * S))
+    for row in rows:
+        spans = []
+        for c0, d, den, t0den, q in lines:
+            a, b = divmod(c0 + row * d, den)
+            bS = b * S
+            z = bS + t0den
+            lo = max(0, a - t1 + 1 - (bS < t0den))
+            hi = min(S, a + t1 - 1 + (z > 0) + (z > q))
+            if lo <= hi:
+                spans.append((lo, hi))
+        spans.sort()
+        merged: list[tuple[int, int]] = []
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        yield merged
 
 
 def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> set[int]:
     """Grid columns of ``row`` strictly within distance 2A of any stored
     line's intercept, where A = T_min / (2(K-1)^2).  Exact integers."""
-    return {c for lo, hi in _excluded_intervals(row, f, T_min, K) for c in range(lo, hi + 1)}
+    return {c for lo, hi in next(_exclusion_runs((row,), f, T_min, K)) for c in range(lo, hi + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +650,17 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
     lower = by_row_desc[n // 2 :]
     split = lower[0].y  # the (n/2 + 1)-th row from the top divides the halves
 
-    upper_bits = BitString()
-    for p in upper:
-        upper_bits = upper_bits + BitString.from_int(p.x, col_w)
+    upper_bits = BitString("".join(format(p.x, f"0{col_w}b") for p in upper))
 
     # forbidding lines are a function of the upper half alone, so the
     # decoder can rebuild them before reading any lower-half column
     lines_idx, segs, ct, cb = _claim_rect_pairs(list(enumerate(upper)), K)
     flines = ForbiddingLineSet(K, split, tuple(lines_idx), tuple(segs), ct, cb)
 
-    lower_bits = BitString()
-    for p in lower:
+    codes = []
+    for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], flines, T_min, K)):
         rank = p.x
-        for lo, hi in _excluded_intervals(p.y, flines, T_min, K):
+        for lo, hi in spans:
             if lo > p.x:
                 break
             if p.x <= hi:
@@ -652,7 +669,8 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
                     "is inside its own excluded set"
                 )
             rank -= hi - lo + 1
-        lower_bits = lower_bits + sd_prime(nat_to_string(rank))
+        codes.append(sd_prime(nat_to_string(rank)).bits)
+    lower_bits = BitString("".join(codes))
 
     payload = header + rows_bits + upper_bits + lower_bits
     return WitnessReport("theorem2", payload, baseline_length(K, n))
@@ -685,9 +703,9 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
     flines = ForbiddingLineSet(K, split, tuple(lines_idx), tuple(segs), ct, cb)
 
     pts = list(upper)
-    for r in rows_desc[n // 2 :]:
+    lower_rows = rows_desc[n // 2 :]
+    for r, spans in zip(lower_rows, _exclusion_runs(lower_rows, flines, T_min, K)):
         rank = string_to_nat(sd_unprime(reader))
-        spans = _excluded_intervals(r, flines, T_min, K)
         allowed = K - sum(hi - lo + 1 for lo, hi in spans)
         if rank >= allowed:
             raise DecodeError(f"rank {rank} out of range for {allowed} allowed positions")
@@ -702,19 +720,6 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
         return GridArrangement.from_points(K, [(p.x, p.y) for p in pts])
     except ValueError as exc:
         raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
-
-
-def _unrank_allowed(rank: int, excl_sorted: list[int], m: int) -> int:
-    """rank-th position (0-based) of range(m) minus the excluded set."""
-    if rank >= m - len(excl_sorted):
-        raise DecodeError(f"rank {rank} out of range for {m - len(excl_sorted)} allowed positions")
-    c = rank
-    while True:
-        k = bisect_right(excl_sorted, c)
-        c_new = rank + k
-        if c_new == c:
-            return c
-        c = c_new
 
 
 # ---------------------------------------------------------------------------

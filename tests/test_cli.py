@@ -252,6 +252,7 @@ class TestWitnessCommands:
             raise RuntimeError("decode computed a binomial")
 
         monkeypatch.setattr(coding, "comb", refuse)
+        monkeypatch.setattr(coding, "perm", refuse)
         monkeypatch.setattr(witnesses, "comb", refuse)
         wit_path = tmp_path / "big.hw1"
         wit_path.write_text(header + "\n0:\n")

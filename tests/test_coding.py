@@ -106,6 +106,26 @@ class TestSelfDelimiting:
         with pytest.raises(DecodeError, match="position"):
             sd_unbar(BitReader(code[:-1]))
 
+    @pytest.mark.parametrize("bits,pos", [("", 0), ("1", 1), ("0111", 4), ("1111", 4)])
+    def test_unterminated_run_fails_at_the_end(self, bits, pos):
+        # the stream ends inside the run of 1s: the error names the end
+        reader = BitReader(BitString(bits))
+        reader.pos = bits.find("1") if "1" in bits else 0
+        with pytest.raises(DecodeError, match=f"^stream ends early: wanted 1 bits at position {pos}, "
+                                              "only 0 remain$"):
+            sd_unbar(reader)
+        assert reader.pos == pos
+
+    def test_read_uint_parses_the_slice(self):
+        reader = BitReader(BitString("1011000"))
+        assert [reader.read_uint(w) for w in (0, 3, 1, 0, 2)] == [0, 5, 1, 0, 0]
+        assert reader.pos == 6
+        with pytest.raises(DecodeError, match="^stream ends early: wanted 2 bits at position 6, "
+                                              "only 1 remain$"):
+            reader.read_uint(2)
+        with pytest.raises(ValueError, match="negative"):
+            reader.read_uint(-1)
+
     @pytest.mark.parametrize("code_fn", [sd_bar, sd_prime])
     def test_prefix_free_exhaustive(self, code_fn):
         # all payloads of length <= 12; sorted-adjacency detects any prefix pair

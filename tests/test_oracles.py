@@ -12,12 +12,13 @@ before the combinadic walk.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heilbronn import coding
 from heilbronn.coding import BitString, DecodeError, ceil_log2, rank_combination, unrank_combination
 from heilbronn.geometry import GridArrangement, GridPoint
 from heilbronn.rng import stream_rng
@@ -243,18 +244,38 @@ class TestCombinationRankOracle:
         assert cells == unrank_by_bisection(rank, k, m)
         assert rank_combination(cells, m) == rank == rank_by_prefixes(cells, m)
 
-    # past m ~ 2^50 the float estimate misses and the walk's bisection
-    # fallback finishes the element; 2^1100 is past the float range
+    # past m ~ 2^50 the float estimate misses and an estimate re-anchored
+    # on the exact value finishes the element; 2^1100 is past the float
+    # range, where the walk's bisection fallback does
     @pytest.mark.parametrize(
         "m,k",
-        [(1000, 999), (1000, 990), (1000, 500), (1 << 20, 200), (1 << 56, 40), (1 << 64, 12), (1 << 1100, 3)],
+        [(1000, 999), (1000, 990), (1000, 500), (1 << 20, 200), (1 << 54, 40), (1 << 56, 40),
+         (1 << 64, 12), (1 << 1100, 3)],
     )
     def test_extreme_ranks_match_bisection(self, m, k):
         total = comb(m, k)
         for rank in (0, 1, 2, total // 3, total // 2, 5 * total // 7, total - 2, total - 1):
             cells = unrank_combination(rank, k, m)
             assert cells == unrank_by_bisection(rank, k, m)
-            assert rank_combination(cells, m) == rank
+            assert rank_combination(cells, m) == rank == rank_by_prefixes(cells, m)
+
+    @pytest.mark.parametrize("m,k", [(1 << 54, 40), (1 << 64, 12), (1 << 64, 40)])
+    def test_large_m_costs_at_most_two_perms_per_element(self, monkeypatch, m, k):
+        # the re-anchored estimate keeps large m off the bisection: besides
+        # perm(m, k), at most two exact falling factorials per element
+        calls = []
+
+        def counted(x, r):
+            calls.append(x)
+            return perm(x, r)
+
+        monkeypatch.setattr(coding, "perm", counted)
+        total = comb(m, k)
+        for rank in (1, 2, total // 3, total // 2, 5 * total // 7, total - 2):
+            calls.clear()
+            cells = unrank_combination(rank, k, m)
+            assert len(calls) <= 1 + 2 * k
+            assert cells == unrank_by_bisection(rank, k, m)
 
     def test_errors_unchanged(self):
         with pytest.raises(ValueError, match=r"rank 6 out of range for C\(4, 2\)"):

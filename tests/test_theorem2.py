@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from heilbronn.coding import BitString, DecodeError
-from heilbronn.geometry import GridArrangement, min_area_triangle
+from heilbronn.geometry import MAX_GRID_SIDE, GridArrangement, min_area_triangle
 from heilbronn.witnesses import (
     ForbiddingLineSet,
     count_forbidding_lines,
-    _excluded_intervals,
+    _exclusion_runs,
     _theorem2_widths,
     decode_witness,
     encode_theorem2,
@@ -322,13 +322,18 @@ class TestExclusionIntervals:
                 f = ForbiddingLineSet(K, split, (), tuple(segs), 0, 0)
                 for row in range(split + 1):
                     for T_min in (0, 1, 1 + rng.below(2 * K), (K - 1) ** 2):
-                        spans = _excluded_intervals(row, f, T_min, K)
+                        spans = next(_exclusion_runs([row], f, T_min, K))
                         want = _excluded_set_oracle(row, f, T_min, K)
                         assert excluded_columns(row, f, T_min, K) == want
                         assert {c for lo, hi in spans for c in range(lo, hi + 1)} == want
                         # sorted, disjoint and not adjacent: merged
                         assert all(lo <= hi for lo, hi in spans)
                         assert all(b[0] > a[1] + 1 for a, b in zip(spans, spans[1:]))
+                # every row in one call
+                rows = list(range(K))
+                want = [sorted(_excluded_set_oracle(row, f, K, K)) for row in rows]
+                got = list(_exclusion_runs(rows, f, K, K))
+                assert [[c for lo, hi in spans for c in range(lo, hi + 1)] for spans in got] == want
 
     def test_payloads_match_the_golden(self):
         # digests of encode_theorem2 payload hex recorded before the
@@ -351,3 +356,58 @@ class TestExclusionIntervals:
         with pytest.raises(DecodeError, match="out of range"):
             decode_witness("theorem2", hostile, K, n)
         assert time.perf_counter() - t0 < 0.1
+
+
+def _reference_intervals(row, f, T_min, K):
+    """Merged excluded intervals of one row in Python integers: each line's
+    num/den +- T_min/S over the common denominator den * S."""
+    S = K - 1
+    spans = []
+    for (x1, y1), (x2, y2) in f.segments:
+        num, den = x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2
+        if den < 0:
+            num, den = -num, -den
+        lo = max(0, (num * S - T_min * den) // (den * S) + 1)
+        hi = min(S, -((-num * S - T_min * den) // (den * S)) - 1)
+        if lo <= hi:
+            spans.append((lo, hi))
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _corner_lines(K, rng):
+    """Segments through the grid corners, vertical and nearly horizontal
+    ones, and random ones crossing the middle row."""
+    S = K - 1
+    split = S // 2
+    segs = [((0, S), (S, 0)), ((S, S), (0, 0)), ((0, S), (0, 0)), ((S, S), (S, 0)),
+            ((0, S), (S, S - 1)), ((S, 1), (0, 0)), ((S, split + 1), (0, split)), ((0, S), (1, 0))]
+    for _ in range(8):
+        segs.append(((rng.below(K), split + 1 + rng.below(S - split)), (rng.below(K), rng.below(split + 1))))
+    return ForbiddingLineSet(K, split, (), tuple(segs), 0, 0)
+
+
+class TestExclusionRuns:
+    @pytest.mark.parametrize("K", [K20, MAX_GRID_SIDE - 7, MAX_GRID_SIDE])
+    def test_runs_match_the_exact_reference(self, K):
+        # the a/b split against the direct quotients over den * S
+        rng = stream_rng(111, K % 1000)
+        f = _corner_lines(K, rng)
+        S = K - 1
+        rows = [0, 1, 2, f.split_row - 1, f.split_row, f.split_row + 1, S - 1, S]
+        rows += [rng.below(K) for _ in range(8)]
+        for T_min in (0, 1, S, S + 1, 1 + rng.below(S * S), S * S - 1, S * S):
+            want = [_reference_intervals(row, f, T_min, K) for row in rows]
+            assert list(_exclusion_runs(rows, f, T_min, K)) == want
+        assert list(_exclusion_runs(rows, f, S * S, K)) == [[(0, S)]] * len(rows)
+
+    def test_no_lines_and_errors(self):
+        f = ForbiddingLineSet(64, 31, (), (), 0, 0)
+        assert list(_exclusion_runs([0, 5, 31], f, 1000, 64)) == [[], [], []]
+        with pytest.raises(ValueError, match="nonnegative"):
+            excluded_columns(0, f, -1, 64)

@@ -254,6 +254,17 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="no third grid point"):
             decode_witness("collinear", payload, 3, 3)
 
+    @pytest.mark.parametrize("P,Q,xs", [(0, 1, (2, 3, 4)), (1, 3, (0, 2, 4)), (3, 4, (0, 1, 2))])
+    def test_collinear_slots_skip_p_and_q(self, P, Q, xs):
+        # on row 0 of K=5 the line holds five grid points, P and Q take two
+        # of them, and the 2-bit position names one of the other three
+        sub = BitString.from_int(rank_combination((P, Q), 25), ceil_log2(comb(25, 2)))
+        for pos, x in enumerate(xs):
+            a = decode_witness("collinear", sub + BitString.from_int(pos, 2), 5, 3)
+            assert {p.x for p in a.points} == {P, Q, x} and {p.y for p in a.points} == {0}
+        with pytest.raises(DecodeError, match="^rank 3 out of range for 3 allowed positions$"):
+            decode_witness("collinear", sub + BitString("11"), 5, 3)
+
     def test_theorem2_more_pebbles_than_rows(self):
         with pytest.raises(DecodeError, match="K=4, n=6"):
             decode_witness("theorem2", BitString("0" * 40), 4, 6)
@@ -266,6 +277,7 @@ class TestDecodeErrors:
             raise AssertionError("decode computed a binomial")
 
         monkeypatch.setattr(coding, "comb", refuse)
+        monkeypatch.setattr(coding, "perm", refuse)
         monkeypatch.setattr(witnesses, "comb", refuse)
         for bits in ("", "0" * 64):
             with pytest.raises(DecodeError):
