@@ -15,13 +15,13 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from .coding import DecodeError, baseline_length, rank_arrangement, unrank_arrangement
 from .constructions import _erdos_checked, erdos_area_lower_bound, optimize_heilbronn
 from .formats import (
     FormatError,
     load_grid,
+    load_points,
     load_pointset,
     load_witness,
     save_grid,
@@ -160,16 +160,8 @@ def build_parser() -> _Parser:
     return p
 
 
-def _sniff_grid(path) -> bool:
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.startswith("grid ")
-    return False
-
-
 def _cmd_min_triangle(args):
-    obj = load_grid(args.file) if _sniff_grid(args.file) else load_pointset(args.file)
+    obj = load_points(args.file)
     rep = min_area_triangle(obj, mode=args.mode)
     params = {"file": args.file, "mode": args.mode}
     results = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, exp, expm1, factorial, log, log1p, perm
 
-from .geometry import GridArrangement, GridPoint
+from .geometry import GridArrangement, GridPoint, check_grid
 
 
 class DecodeError(ValueError):
@@ -316,7 +316,9 @@ def rank_arrangement(a: GridArrangement) -> ArrangementIndex:
 
 
 def unrank_arrangement(index: int | ArrangementIndex, K: int, n: int) -> GridArrangement:
-    """Inverse of rank_arrangement."""
+    """Inverse of rank_arrangement.  K and n are checked first, so an
+    oversized grid costs no unranking."""
+    check_grid(K, n)
     value = index.value if isinstance(index, ArrangementIndex) else index
     cells = unrank_combination(value, n, K * K)
     pts = tuple(GridPoint(c % K, c // K) for c in cells)

@@ -10,7 +10,6 @@ best achievable minimum area at small n.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -233,6 +232,8 @@ def optimize_heilbronn(
         raise ValueError("restarts and steps must be positive")
     workers = min(jobs, os.cpu_count() or 1, restarts)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_restart, [n] * restarts, [seed] * restarts,
                                  range(restarts), [steps] * restarts))

@@ -28,12 +28,20 @@ def save_pointset(points: PointSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_pointset(path) -> PointSet:
-    coords = []
+def _data_lines(path) -> list[tuple[int, str, str]]:
+    """(line number, raw line, text before any '#' stripped) of every line
+    that holds data; comments and blank lines are skipped."""
+    lines = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            lines.append((lineno, raw, line))
+    return lines
+
+
+def _parse_pointset(path, lines: list[tuple[int, str, str]]) -> PointSet:
+    coords = []
+    for lineno, raw, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'x y', got {raw!r}")
@@ -47,28 +55,29 @@ def load_pointset(path) -> PointSet:
     return PointSet.from_coords(coords)
 
 
+def load_pointset(path) -> PointSet:
+    return _parse_pointset(path, _data_lines(path))
+
+
 def save_grid(a: GridArrangement, path) -> None:
     lines = [f"grid {a.K} {a.n}"]
     lines.extend(f"{p.x} {p.y}" for p in a.points)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_grid(path) -> GridArrangement:
+def _parse_grid(path, lines: list[tuple[int, str, str]]) -> GridArrangement:
+    if not lines:
+        raise FormatError(f"{path}: missing 'grid <K> <n>' header")
+    lineno, _, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != "grid":
+        raise FormatError(f"{path}:{lineno}: expected header 'grid <K> <n>'")
+    try:
+        K, n = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: non-integer grid header") from None
     rows = []
-    header = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "grid":
-                raise FormatError(f"{path}:{lineno}: expected header 'grid <K> <n>'")
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer grid header") from None
-            continue
+    for lineno, raw, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'x y', got {raw!r}")
@@ -76,15 +85,25 @@ def load_grid(path) -> GridArrangement:
             rows.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-integer coordinate in {raw!r}") from None
-    if header is None:
-        raise FormatError(f"{path}: missing 'grid <K> <n>' header")
-    K, n = header
     if len(rows) != n:
         raise FormatError(f"{path}: header promises {n} pebbles, found {len(rows)}")
     try:
         return GridArrangement.from_points(K, rows)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def load_grid(path) -> GridArrangement:
+    return _parse_grid(path, _data_lines(path))
+
+
+def load_points(path) -> GridArrangement | PointSet:
+    """A grid file (its first data line starts with 'grid ') as a
+    GridArrangement, any other file as a point set; the file is read once."""
+    lines = _data_lines(path)
+    if lines and lines[0][2].startswith("grid "):
+        return _parse_grid(path, lines)
+    return _parse_pointset(path, lines)
 
 
 def save_witness(report: WitnessReport, K: int, n: int, path) -> None:

@@ -87,6 +87,13 @@ _PAD = 1e-9
 _WINDOW_MIN_N = 60
 
 
+def check_grid(K: int, n: int) -> None:
+    """Reject a grid that has no arrangement of n pebbles, or a side past
+    ``MAX_GRID_SIDE``, before any work that grows with K or n."""
+    if not (2 <= K <= MAX_GRID_SIDE and 0 <= n <= K * K):
+        raise ValueError(f"no arrangement of n={n} pebbles on a K={K} grid")
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class GridPoint:
     """Integer lattice point; ordering is row-major (y, then x)."""

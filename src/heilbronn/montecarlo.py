@@ -28,7 +28,6 @@ points in the unit square.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum, isfinite, log2
@@ -37,11 +36,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    MAX_GRID_SIDE,
     GridArrangement,
     GridPoint,
     PointSet,
     UnitPoint,
+    check_grid,
     min_area_triangle,
     min_twice_area_rows,
 )
@@ -65,18 +64,11 @@ def sample_unit_square(n: int, seed: int, stream_id: int) -> PointSet:
     return PointSet(tuple(UnitPoint(x, y) for x, y in zip(u[0::2], u[1::2])))
 
 
-def _check_grid(K: int, n: int) -> None:
-    """Reject a grid trial that has no arrangement (or a side past
-    ``MAX_GRID_SIDE``) before any word is drawn."""
-    if not (2 <= K <= MAX_GRID_SIDE and 0 <= n <= K * K):
-        raise ValueError(f"no arrangement of n={n} pebbles on a K={K} grid")
-
-
 def _grid_cells(K: int, n: int, seed: int, stream_id: int) -> list[int]:
     """Sorted cell ids of a uniform arrangement of n pebbles on the K x K
     grid: rejection-sample distinct cells, which is exchangeable and
     therefore uniform on the cell set."""
-    _check_grid(K, n)
+    check_grid(K, n)
     rng = stream_rng(seed, stream_id)
     cells: set[int] = set()
     while len(cells) < n:
@@ -90,7 +82,7 @@ def _grid_cell_block(K: int, n: int, seed: int, start: int, stop: int) -> np.nda
     that ``below(K * K)`` keeps, are that row's cells whenever all of them
     fall below K^2 and are distinct; any other row is redrawn by
     ``_grid_cells``."""
-    _check_grid(K, n)
+    check_grid(K, n)
     bits = (K * K - 1).bit_length()
     cells = (word_block(seed, start, stop, n) >> np.uint64(64 - bits)).astype(np.int64)
     cells.sort(axis=1)
@@ -191,6 +183,8 @@ def _trial_areas(n: int, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
     workers = min(jobs, os.cpu_count() or 1, trials // 4)
     if workers <= 1:
         return _areas_chunk(n, seed, 0, trials)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
     bounds = [trials * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, e as _E, gcd, log2
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .coding import (
     string_to_nat,
     unrank_combination,
 )
-from .geometry import MAX_GRID_SIDE, GridArrangement, GridPoint, min_area_triangle, twice_signed_area
+from .geometry import MAX_GRID_SIDE, GridArrangement, GridPoint, min_area_triangle
 
 WITNESS_KINDS = ("collinear", "rowline", "small_triangle", "theorem2")
 
@@ -164,15 +164,20 @@ def _read_pair(reader: BitReader, m: int) -> tuple[int, int]:
     return unrank_combination(rank, 2, m)
 
 
+def _pair_bits(i: int, j: int, m: int) -> BitString:
+    """The pair {i, j} of range(m) as _read_pair reads it back."""
+    return BitString.from_int(rank_combination((min(i, j), max(i, j)), m), ceil_log2(comb(m, 2)))
+
+
 def _sub_rank_bits(a: GridArrangement, drop: int) -> BitString:
     cells = tuple(c for idx, c in enumerate(a.cells()) if idx != drop)
     rank = rank_combination(cells, a.K * a.K)
     return BitString.from_int(rank, _width_sub_rank(a.K, a.n))
 
 
-def _insert_point(K: int, pts: Sequence[GridPoint], extra: GridPoint) -> GridArrangement:
+def _decoded_arrangement(K: int, pts: Iterable[GridPoint]) -> GridArrangement:
     try:
-        return GridArrangement.from_points(K, [(p.x, p.y) for p in pts] + [(extra.x, extra.y)])
+        return GridArrangement.from_points(K, [(p.x, p.y) for p in pts])
     except ValueError as exc:
         raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
 
@@ -221,8 +226,7 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
     P, Q, R = pts[i], pts[j], pts[k]
 
     sub_bits = _sub_rank_bits(a, k)
-    m = a.n - 1
-    pair_bits = BitString.from_int(rank_combination((i, j), m), ceil_log2(comb(m, 2)))
+    pair_bits = _pair_bits(i, j, a.n - 1)
 
     # R's slot on the line, not counting the slots of P and Q below it
     dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, a.K)
@@ -250,7 +254,7 @@ def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
     slot = pos + (pos >= first)
     t = t_lo + slot + (slot >= second)
     reader.expect_end()
-    return _insert_point(K, sub, GridPoint(P.x + t * dx, P.y + t * dy))
+    return _decoded_arrangement(K, (*sub, GridPoint(P.x + t * dx, P.y + t * dy)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +294,11 @@ def _decode_rowline(payload: BitString, K: int, n: int) -> GridArrangement:
         raise DecodeError(f"row cell index {pos} out of range at bit {reader.pos}")
     x = pos if pos < P.x else pos + 1
     reader.expect_end()
-    return _insert_point(K, sub, GridPoint(x, P.y))
+    return _decoded_arrangement(K, (*sub, GridPoint(x, P.y)))
 
 
 # ---------------------------------------------------------------------------
 # small-triangle witness
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _relabel_longest(pts: Sequence[GridPoint], triple: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -321,25 +310,27 @@ def _relabel_longest(pts: Sequence[GridPoint], triple: tuple[int, int, int]) -> 
 
     i, j, k = triple
     sides = [(sq(pts[j], pts[k]), i, j, k), (sq(pts[i], pts[k]), j, i, k), (sq(pts[i], pts[j]), k, i, j)]
-    best = max(s[0] for s in sides)
-    for s, r_idx, p_idx, q_idx in sides:
-        if s == best:
-            return r_idx, p_idx, q_idx
-    raise AssertionError("unreachable")
+    return max(sides, key=lambda side: side[0])[1:]  # max keeps the first maximal side
+
+
+def _triangle_cross(P: GridPoint, Q: GridPoint, R: GridPoint) -> tuple[int, int]:
+    """(g, cross): g counts lattice points on [P, Q) and cross is the
+    signed twice-area of P, Q, R; a degenerate triple raises ValueError."""
+    q1, q2 = Q.x - P.x, Q.y - P.y
+    cross = q2 * (R.x - P.x) - q1 * (R.y - P.y)
+    if cross == 0:
+        raise ValueError("degenerate (collinear) triple")
+    return gcd(q1, q2), cross
 
 
 def small_triangle_geometry(P: GridPoint, Q: GridPoint, R: GridPoint) -> SmallTriangleGeometry:
     """Exact (g, T, f) for a nondegenerate grid triangle after relabeling
     so that PQ is a longest side (deterministic tie order P, Q, R)."""
-    idx = _relabel_longest((P, Q, R), (0, 1, 2))
     pts = (P, Q, R)
-    r_i, p_i, q_i = idx
+    r_i, p_i, q_i = _relabel_longest(pts, (0, 1, 2))
     P, Q, R = pts[p_i], pts[q_i], pts[r_i]
-    q1, q2 = Q.x - P.x, Q.y - P.y
-    g = gcd(abs(q1), abs(q2))
-    T = abs(q2 * (R.x - P.x) - q1 * (R.y - P.y))
-    if T == 0:
-        raise ValueError("degenerate (collinear) triple")
+    g, cross = _triangle_cross(P, Q, R)
+    T = abs(cross)
     return SmallTriangleGeometry(P, Q, R, g, T, T // g)
 
 
@@ -349,25 +340,27 @@ def _triangle_candidate_index(P: GridPoint, Q: GridPoint, R: GridPoint) -> int:
     the half-open window [P, Q): ordered by k, then sign (+ first), then
     position along the line.  Each (k, sign) level holds exactly g points,
     so the index is below 2*f*g = 2*T."""
+    g, cross = _triangle_cross(P, Q, R)
     q1, q2 = Q.x - P.x, Q.y - P.y
-    g = gcd(abs(q1), abs(q2))
-    r1, r2 = R.x - P.x, R.y - P.y
-    cross = q2 * r1 - q1 * r2
-    T = abs(cross)
-    f = T // g
-    sign_plus = cross > 0
-    level_start = (f - 1) * 2 * g + (0 if sign_plus else g)
+    level_start = (abs(cross) // g - 1) * 2 * g + (0 if cross > 0 else g)
     bx, by, t_lo = _coset_params(q1, q2, g, cross)
     dx, dy = q1 // g, q2 // g
-    t_R = (r1 - bx) // dx if dx != 0 else (r2 - by) // dy
+    t_R = (R.x - P.x - bx) // dx if dx else (R.y - P.y - by) // dy
     return level_start + (t_R - t_lo)
 
 
 def _coset_params(q1: int, q2: int, g: int, v: int) -> tuple[int, int, int]:
     """For the coset {X : q2*X.x - q1*X.y = v}, X relative to P: a base
     solution (bx, by) and the start t_lo of the window of g parameters t
-    whose points (bx, by) + t*(q1, q2)/g project into [P, Q)."""
-    _, s, t = _egcd(q2, -q1)  # q2*s - q1*t = g
+    whose points (bx, by) + t*(q1, q2)/g project into [P, Q).  Another
+    base solution moves t_lo and every point's t by the same amount."""
+    a, b = q2 // g, q1 // g
+    if b:
+        s = pow(a, -1, abs(b))
+        t = (a * s - 1) // b
+    else:  # the direction is (0, a) with a = +-1
+        s, t = a, 0
+    # now a*s - b*t = 1, so q2*s - q1*t = g
     scale = v // g
     bx, by = s * scale, t * scale  # base solution with form value v
     step = (q1 * q1 + q2 * q2) // g
@@ -409,19 +402,11 @@ def encode_small_triangle_witness(
         raise ValueError(f"invalid index triple {triple}")
     pts = a.points
     r_idx, p_idx, q_idx = _relabel_longest(pts, (i, j, k))
-    P, Q, R = pts[p_idx], pts[q_idx], pts[r_idx]
-    if twice_signed_area(P, Q, R) == 0:
-        raise ValueError("degenerate (collinear) triple")
+    index = _triangle_candidate_index(pts[p_idx], pts[q_idx], pts[r_idx])  # raises if degenerate
 
     sub_bits = _sub_rank_bits(a, r_idx)
     # indices of P and Q inside the sub-arrangement (R removed)
-    pi = p_idx - (1 if p_idx > r_idx else 0)
-    qi = q_idx - (1 if q_idx > r_idx else 0)
-    m = a.n - 1
-    pair = (min(pi, qi), max(pi, qi))
-    pair_bits = BitString.from_int(rank_combination(pair, m), ceil_log2(comb(m, 2)))
-
-    index = _triangle_candidate_index(P, Q, R)
+    pair_bits = _pair_bits(p_idx - (p_idx > r_idx), q_idx - (q_idx > r_idx), a.n - 1)
     idx_bits = sd_prime(nat_to_string(index))
 
     payload = sub_bits + pair_bits + idx_bits
@@ -438,7 +423,7 @@ def _decode_small_triangle(payload: BitString, K: int, n: int) -> GridArrangemen
     if not (0 <= R.x < K and 0 <= R.y < K):
         raise DecodeError(f"candidate {R} falls outside the grid")
     reader.expect_end()
-    return _insert_point(K, sub, R)
+    return _decoded_arrangement(K, (*sub, R))
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +450,15 @@ def _in_bottom_rect(x: int, y: int, S: int) -> bool:
     return (5 * x > 2 * S) and (5 * x <= 3 * S) and (2 * y >= S) and (10 * y < 6 * S)
 
 
-def _claim_rect_pairs(
-    upper: Sequence[tuple[int, GridPoint]], K: int
-) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], tuple[int, int]]], int, int]:
+def _claim_rect_pairs(upper: Sequence[tuple[int, GridPoint]], K: int, split: int) -> ForbiddingLineSet:
+    """The lines through one (index, pebble) of ``upper`` in the top
+    rectangle and one in the bottom rectangle, top pebbles outermost."""
     S = K - 1
     top = [(idx, p) for idx, p in upper if _in_top_rect(p.x, p.y, S)]
     bot = [(idx, p) for idx, p in upper if _in_bottom_rect(p.x, p.y, S)]
-    lines = []
-    segs = []
-    for it, pt in top:
-        for ib, pb in bot:
-            lines.append((min(it, ib), max(it, ib)))
-            segs.append(((pt.x, pt.y), (pb.x, pb.y)))
-    return lines, segs, len(top), len(bot)
+    lines = tuple((min(it, ib), max(it, ib)) for it, _ in top for ib, _ in bot)
+    segs = tuple(((pt.x, pt.y), (pb.x, pb.y)) for _, pt in top for _, pb in bot)
+    return ForbiddingLineSet(K, split, lines, segs, len(top), len(bot))
 
 
 def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
@@ -487,15 +468,14 @@ def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
     crosses the dividing row and the bottom side inside the unit square;
     this is re-verified exactly."""
     split = split_row(a)
-    upper = [(idx, p) for idx, p in enumerate(a.points) if p.y > split]
-    lines, segs, ct, cb = _claim_rect_pairs(upper, a.K)
+    f = _claim_rect_pairs([(idx, p) for idx, p in enumerate(a.points) if p.y > split], a.K, split)
     S = a.K - 1
-    for seg in segs:
+    for seg in f.segments:
         for row in (0, split):
             num, den = _intercept(seg, row)
             if not 0 <= num <= S * den:
                 raise AssertionError("rectangle pair line failed the crossing check")
-    return ForbiddingLineSet(a.K, split, tuple(lines), tuple(segs), ct, cb)
+    return f
 
 
 def count_forbidding_lines(a: GridArrangement) -> int:
@@ -583,10 +563,10 @@ def _exclusion_runs(
     S = K - 1
     t1, t0 = divmod(T_min, S)
     lines = []
-    for u, v in f.segments:
-        (x1, y1), (x2, y2) = (u, v) if u[1] > v[1] else (v, u)
-        den, d = y1 - y2, x1 - x2  # num = x2 den - y2 d + row d, as in _intercept
-        lines.append((x2 * den - y2 * d, d, den, t0 * den, den * S))
+    for seg in f.segments:
+        c0, den = _intercept(seg, 0)  # the intercept num is c0 + row d
+        d = _intercept(seg, 1)[0] - c0
+        lines.append((c0, d, den, t0 * den, den * S))
     for row in rows:
         spans = []
         for c0, d, den, t0den, q in lines:
@@ -633,29 +613,25 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
     n = a.n
     if n % 2 or n < 2:
         raise ValueError("theorem-2 witness requires an even number (>= 2) of pebbles")
-    rows = a.rows()
-    if len(set(rows)) != n:
-        raise ValueError("pebbles must occupy distinct rows")
+    split = split_row(a)  # requires distinct rows
     K = a.K
     header_w, rows_w, col_w = _theorem2_widths(K, n)
 
     T_min = int(min_area_triangle(a, mode="fast").twice_area) if n >= 3 else 0
     header = BitString.from_int(T_min, header_w)
 
-    sorted_rows = tuple(sorted(rows))
+    sorted_rows = tuple(sorted(a.rows()))
     rows_bits = BitString.from_int(rank_combination(sorted_rows, K), rows_w)
 
     by_row_desc = sorted(a.points, key=lambda p: -p.y)
     upper = by_row_desc[: n // 2]
     lower = by_row_desc[n // 2 :]
-    split = lower[0].y  # the (n/2 + 1)-th row from the top divides the halves
 
     upper_bits = BitString("".join(format(p.x, f"0{col_w}b") for p in upper))
 
     # forbidding lines are a function of the upper half alone, so the
     # decoder can rebuild them before reading any lower-half column
-    lines_idx, segs, ct, cb = _claim_rect_pairs(list(enumerate(upper)), K)
-    flines = ForbiddingLineSet(K, split, tuple(lines_idx), tuple(segs), ct, cb)
+    flines = _claim_rect_pairs(list(enumerate(upper)), K, split)
 
     codes = []
     for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], flines, T_min, K)):
@@ -699,8 +675,7 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
         upper.append(GridPoint(x, r))
     split = rows_desc[n // 2]
 
-    lines_idx, segs, ct, cb = _claim_rect_pairs(list(enumerate(upper)), K)
-    flines = ForbiddingLineSet(K, split, tuple(lines_idx), tuple(segs), ct, cb)
+    flines = _claim_rect_pairs(list(enumerate(upper)), K, split)
 
     pts = list(upper)
     lower_rows = rows_desc[n // 2 :]
@@ -716,10 +691,7 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
             col += hi - lo + 1
         pts.append(GridPoint(col, r))
     reader.expect_end()
-    try:
-        return GridArrangement.from_points(K, [(p.x, p.y) for p in pts])
-    except ValueError as exc:
-        raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
+    return _decoded_arrangement(K, pts)
 
 
 # ---------------------------------------------------------------------------

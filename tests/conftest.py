@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 from concurrent.futures import Future
 
@@ -115,17 +116,15 @@ class _InlineExecutor:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace the process pools of montecarlo and constructions with
+    """Replace ``concurrent.futures.ProcessPoolExecutor``, which montecarlo
+    and constructions import where they start a pool, with
     ``_InlineExecutor`` on a machine that reports 4 CPUs; returns the list
     of ``max_workers`` values the code asked for."""
-    from heilbronn import constructions, montecarlo
-
     created: list[int] = []
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     def make(max_workers):
         return _InlineExecutor(max_workers, created)
 
-    for module in (montecarlo, constructions):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     return created

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heilbronn import coding
 from heilbronn.coding import (
     ArrangementIndex,
     BitReader,
@@ -234,6 +235,15 @@ class TestRanking:
             unrank_arrangement(-1, 2, 2)
         with pytest.raises(ValueError):
             ArrangementIndex(6, 6)
+
+    def test_grid_checked_before_unranking(self, monkeypatch):
+        def unrank_combination(*args):
+            raise AssertionError("unranked before the grid check")
+
+        monkeypatch.setattr(coding, "unrank_combination", unrank_combination)
+        for K, n in [(1 << 31, 20000), (1, 1), (4, 17), (4, -1)]:
+            with pytest.raises(ValueError, match=f"no arrangement of n={n} pebbles on a K={K} grid"):
+                unrank_arrangement(0, K, n)
 
 
 class TestBaselineLength:

@@ -4,6 +4,7 @@ from heilbronn.coding import BitString
 from heilbronn.formats import (
     FormatError,
     load_grid,
+    load_points,
     load_pointset,
     load_witness,
     save_grid,
@@ -83,6 +84,27 @@ class TestGridFormat:
         path.write_text("grid 4 1\n4 0\n")
         with pytest.raises(FormatError, match="outside"):
             load_grid(path)
+
+
+class TestEitherFormat:
+    def test_grid_header_after_comments_makes_a_grid(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# saved grid\n\ngrid 4 2  # K n\n1 1\n3 0\n")
+        assert load_points(path) == GridArrangement.from_points(4, [(1, 1), (3, 0)])
+
+    def test_other_files_are_point_sets(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("# grid 4 2\n0.25 0.5\n1 1\n")
+        assert [(p.x, p.y) for p in load_points(path).points] == [(0.25, 0.5), (1.0, 1.0)]
+
+    def test_errors_match_the_single_format_loaders(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("grid 4 3\n1 1\n2 2\n")
+        with pytest.raises(FormatError, match="promises"):
+            load_points(path)
+        path.write_text("0.1 0.2\n0.3\n")
+        with pytest.raises(FormatError, match=":2:"):
+            load_points(path)
 
 
 class TestWitnessFormat:

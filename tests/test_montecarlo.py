@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import fsum, log2
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,15 @@ class TestEstimateMu:
         parallel = estimate_mu(8, trials=trials, seed=8, jobs=jobs)
         assert inline_pool == workers
         assert parallel == estimate_mu(8, trials=trials, seed=8)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported where one starts, so a serial run pays no
+        # multiprocessing import
+        src = str(Path(montecarlo.__file__).parents[1])
+        code = "import sys, heilbronn; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestFitExponent:

@@ -56,6 +56,15 @@ def enumerate_candidates_brute(P, Q, max_k):
     return [t[3] for t in found]
 
 
+def check_candidates(P, Q, max_k=3):
+    cands = enumerate_candidates_brute(P, Q, max_k)
+    g = gcd(Q.x - P.x, Q.y - P.y)
+    assert len(cands) == 2 * g * max_k  # g per (level, sign)
+    for idx, X in enumerate(cands):
+        assert _triangle_candidate_index(P, Q, X) == idx
+        assert _triangle_candidate_point(P, Q, idx) == X
+
+
 class TestCandidateEnumerationOracle:
     def test_closed_form_matches_brute_force(self):
         rng = stream_rng(101, 0)
@@ -65,16 +74,13 @@ class TestCandidateEnumerationOracle:
             dx, dy = rng.below(7) - 3, rng.below(7) - 3
             if (dx, dy) == (0, 0):
                 continue
-            P = GridPoint(px, py)
-            Q = GridPoint(px + dx, py + dy)
-            max_k = 3
-            cands = enumerate_candidates_brute(P, Q, max_k)
-            g = gcd(abs(dx), abs(dy))
-            assert len(cands) == 2 * g * max_k  # g per (level, sign)
-            for idx, X in enumerate(cands):
-                assert _triangle_candidate_index(P, Q, X) == idx
-                assert _triangle_candidate_point(P, Q, idx) == X
+            check_candidates(GridPoint(px, py), GridPoint(px + dx, py + dy))
             checked += 1
+
+    # axis-parallel sides: the modular inverse meets q1 = 0 and |q1 / g| = 1
+    @pytest.mark.parametrize("dx, dy", [(1, 0), (-1, 0), (0, 1), (0, -1), (3, 0), (-3, 0), (0, 2), (0, -2)])
+    def test_axis_parallel_sides(self, dx, dy):
+        check_candidates(GridPoint(7, 9), GridPoint(7 + dx, 9 + dy))
 
     def test_worked_example_ordering(self):
         # P=(0,0), Q=(3,0): levels are horizontal lines y = -k (plus) and
