@@ -3,7 +3,9 @@
 Every command emits one JSON record {command, version, seed, params,
 results, timing_ms} on stdout (validated by the schema shipped in
 heilbronn/schemas/); ``scan --format csv`` emits plot-ready CSV rows
-instead.  Randomized commands require --seed and echo it.  Exit codes:
+instead.  Each command returns its results and ``run`` alone writes the
+record: randomized commands require --seed and echo it as ``seed``, and
+``params`` echoes every other parsed argument.  Exit codes:
 0 success, 1 usage error, 2 data error or failed internal check.  Big
 integers (arrangement ranks) are serialized as decimal strings.
 """
@@ -72,6 +74,21 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _integers(count: int | None = None):
+    """argparse type for comma-separated integers (blank items are skipped),
+    exactly ``count`` of them when given; the value is a tuple."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(s) for s in text.split(",") if s.strip())
+        except ValueError:
+            values = ()  # reported like a missing value below
+        if not values or (count is not None and len(values) != count):
+            raise argparse.ArgumentTypeError(
+                f"must be {count or 'one or more'} comma-separated integers, got {text!r}")
+        return values
+    return parse
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="heilbronn", description=__doc__)
     # a string default goes through _jobs like a given --jobs, so an invalid
@@ -95,7 +112,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("scan", help="sweep n, estimate mu_n, fit the exponent")
-    sp.add_argument("--ns", required=True, help="comma-separated point counts")
+    sp.add_argument("--ns", type=_integers(), required=True, help="comma-separated point counts")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--trials", type=int, help="fixed trial count (default: schedule)")
     sp.add_argument("--jobs", type=_jobs, default=jobs_default, help=jobs_help)
@@ -141,7 +158,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--file", "--grid", dest="file", required=True,
                     help="grid file (encode) or witness file (decode)")
     sp.add_argument("--out", help="witness file (encode) or grid file (decode)")
-    sp.add_argument("--triple", help="i,j,k indices for small_triangle encode")
+    sp.add_argument("--triple", type=_integers(3), help="i,j,k indices for small_triangle encode")
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("stats-degenerate", help="frequency of collinear triples / shared rows")
@@ -160,31 +177,35 @@ def build_parser() -> _Parser:
     return p
 
 
+def _saved(results, out, save, *objs):
+    """Write ``objs`` with ``save`` to the optional --out file and record
+    its path in ``results``."""
+    if out:
+        save(*objs, out)
+        results["path"] = out
+    return results
+
+
 def _cmd_min_triangle(args):
     obj = load_points(args.file)
     rep = min_area_triangle(obj, mode=args.mode)
-    params = {"file": args.file, "mode": args.mode}
-    results = {
+    return {
         "i": rep.i,
         "j": rep.j,
         "k": rep.k,
         "twice_area": rep.twice_area,
         "area": rep.area,
     }
-    return None, params, results, None
 
 
 def _cmd_sample(args):
-    params = {"n": args.n, "k": args.k, "stream": args.stream, "out": args.out}
     if args.k is not None:
         a = sample_grid_arrangement(args.k, args.n, args.seed, args.stream)
         save_grid(a, args.out)
-        results = {"path": args.out, "K": args.k, "n": args.n}
-    else:
-        ps = sample_unit_square(args.n, args.seed, args.stream)
-        save_pointset(ps, args.out)
-        results = {"path": args.out, "n": args.n}
-    return args.seed, params, results, None
+        return {"path": args.out, "K": args.k, "n": args.n}
+    ps = sample_unit_square(args.n, args.seed, args.stream)
+    save_pointset(ps, args.out)
+    return {"path": args.out, "n": args.n}
 
 
 def _scan_rows(estimates, seed):
@@ -203,34 +224,25 @@ def _scan_rows(estimates, seed):
 
 
 def _cmd_scan(args):
-    try:
-        ns = [int(s) for s in args.ns.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"--ns must be comma-separated integers, got {args.ns!r}") from None
-    if not ns:
-        raise UsageError("--ns must name at least one point count")
     trials_for = default_trial_schedule if args.trials is None else (lambda n: args.trials)
-    estimates, fit = scan_mu(ns, args.seed, trials_for=trials_for, jobs=args.jobs)
+    estimates, fit = scan_mu(args.ns, args.seed, trials_for=trials_for, jobs=args.jobs)
     rows = _scan_rows(estimates, args.seed)
-    params = {"ns": ns, "trials": args.trials, "jobs": args.jobs}
-    results = {"samples": rows}
-    if fit is not None:
-        results.update(slope=fit.slope, intercept=fit.intercept, r_squared=fit.r_squared)
     if args.format == "csv":
         header = "n,trials,mean,stderr,lo95,hi95,seed"
         lines = [header] + [
             f"{r['n']},{r['trials']},{r['mean']!r},{r['stderr']!r},{r['lo95']!r},{r['hi95']!r},{r['seed']}"
             for r in rows
         ]
-        return args.seed, params, results, "\n".join(lines)
-    return args.seed, params, results, None
+        return "\n".join(lines)
+    results = {"samples": rows}
+    if fit is not None:
+        results.update(slope=fit.slope, intercept=fit.intercept, r_squared=fit.r_squared)
+    return results
 
 
 def _cmd_tail(args):
     est = tail_probability(args.n, args.threshold, args.trials, args.seed, jobs=args.jobs)
-    params = {"n": args.n, "threshold": args.threshold, "trials": args.trials, "jobs": args.jobs}
-    results = {"fraction": est.fraction}
-    return args.seed, params, results, None
+    return {"fraction": est.fraction}
 
 
 def _cmd_construct_erdos(args):
@@ -243,40 +255,30 @@ def _cmd_construct_erdos(args):
     }
     if tri is not None:
         results["min_twice_area"] = int(tri.twice_area)
-    if args.out:
-        save_grid(a, args.out)
-        results["path"] = args.out
-    return None, {"p": args.p, "out": args.out}, results, None
+    return _saved(results, args.out, save_grid, a)
 
 
 def _cmd_optimize(args):
     res = optimize_heilbronn(args.n, restarts=args.restarts, steps=args.steps,
                              seed=args.seed, jobs=args.jobs)
-    if args.out:
-        save_pointset(res.points, args.out)
-    params = {"n": args.n, "restarts": args.restarts, "steps": args.steps, "jobs": args.jobs}
     results = {
         "value": res.value,
         "iterations": res.iterations,
         "points": [[p.x, p.y] for p in res.points.points],
     }
-    if args.out:
-        results["path"] = args.out
-    return args.seed, params, results, None
+    return _saved(results, args.out, save_pointset, res.points)
 
 
 def _cmd_rank(args):
     a = load_grid(args.file)
     idx = rank_arrangement(a)
-    params = {"file": args.file}
-    results = {
+    return {
         "K": a.K,
         "n": a.n,
         "value": str(idx.value),
         "domain_size": str(idx.domain_size),
         "baseline_bits": baseline_length(a.K, a.n),
     }
-    return None, params, results, None
 
 
 def _cmd_unrank(args):
@@ -286,10 +288,7 @@ def _cmd_unrank(args):
         raise UsageError(f"--index must be a decimal integer, got {args.index!r}") from None
     a = unrank_arrangement(index, args.k, args.n)
     results = {"K": a.K, "n": a.n, "points": [[p.x, p.y] for p in a.points]}
-    if args.out:
-        save_grid(a, args.out)
-        results["path"] = args.out
-    return None, {"k": args.k, "n": args.n, "index": args.index}, results, None
+    return _saved(results, args.out, save_grid, a)
 
 
 _ENCODERS = {
@@ -301,17 +300,9 @@ _ENCODERS = {
 
 
 def _cmd_witness(args):
-    params = {"kind": args.kind, "action": args.action, "file": args.file, "out": args.out}
     if args.action == "encode":
         a = load_grid(args.file)
-        triple = None
-        if args.triple:
-            try:
-                i, j, k = (int(s) for s in args.triple.split(","))
-            except ValueError:
-                raise UsageError("--triple must be 'i,j,k' integers") from None
-            triple = (i, j, k)
-        rep = _ENCODERS[args.kind](a, triple)
+        rep = _ENCODERS[args.kind](a, args.triple)
         results = {
             "kind": rep.kind,
             "K": a.K,
@@ -321,10 +312,7 @@ def _cmd_witness(args):
             "savings": rep.savings,
             "payload": rep.payload.to_hex(),
         }
-        if args.out:
-            save_witness(rep, a.K, a.n, args.out)
-            results["path"] = args.out
-        return None, params, results, None
+        return _saved(results, args.out, save_witness, rep, a.K, a.n)
 
     if not args.out:
         raise UsageError("witness decode requires --out for the reconstructed grid")
@@ -333,31 +321,26 @@ def _cmd_witness(args):
         raise FormatError(f"witness file is kind {kind!r}, not {args.kind!r}")
     a = decode_witness(kind, payload, K, n)
     save_grid(a, args.out)
-    results = {"kind": kind, "K": K, "n": n, "path": args.out}
-    return None, params, results, None
+    return {"kind": kind, "K": K, "n": n, "path": args.out}
 
 
 def _cmd_stats_degenerate(args):
     st = degenerate_structure_stats(args.k, args.n, args.trials, args.seed)
-    params = {"k": args.k, "n": args.n, "trials": args.trials}
-    results = {
+    return {
         "collinear_fraction": st.collinear_fraction,
         "shared_row_fraction": st.shared_row_fraction,
     }
-    return args.seed, params, results, None
 
 
 def _cmd_analyze(args):
     ps = load_pointset(args.file)
     rep = analyze_pointset(ps, args.seed, baseline_trials=args.baseline_trials)
-    params = {"file": args.file, "baseline_trials": args.baseline_trials}
-    results = {
+    return {
         "n": rep.n,
         "area": rep.area,
         "scaled_area": rep.scaled_area,
         "percentile": rep.percentile,
     }
-    return args.seed, params, results, None
 
 
 def run(argv) -> int:
@@ -369,7 +352,7 @@ def run(argv) -> int:
         return 1
     t0 = time.perf_counter()
     try:
-        seed, params, results, raw = args.func(args)
+        results = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -383,14 +366,15 @@ def run(argv) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     timing_ms = (time.perf_counter() - t0) * 1000.0
-    if raw is not None:
-        print(raw)
+    if isinstance(results, str):  # scan --format csv
+        print(results)
         return 0
     record = {
         "command": args.command,
         "version": OUTPUT_VERSION,
-        "seed": seed,
-        "params": params,
+        "seed": getattr(args, "seed", None),
+        # every other parsed argument, in parser order
+        "params": {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")},
         "results": results,
         "timing_ms": timing_ms,
     }

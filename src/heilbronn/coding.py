@@ -21,6 +21,7 @@ incompressible description size.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb, exp, expm1, factorial, log, log1p, perm
 
@@ -81,12 +82,15 @@ class BitString:
 
     @classmethod
     def from_hex(cls, text: str) -> "BitString":
+        # plain ASCII only: int() alone would take signs, '_' and other digits
+        m = re.fullmatch(r"([0-9]+):([0-9a-fA-F]*)", text.strip())
         try:
-            length_s, digits = text.strip().split(":", 1)
-            n = int(length_s)
+            if m is None:
+                raise ValueError
+            n, digits = int(m[1]), m[2]  # int() also refuses an over-long length
         except ValueError:
             raise ValueError(f"malformed bit string serialization: {text!r}") from None
-        if n < 0 or len(digits) != (n + 3) // 4:
+        if len(digits) != (n + 3) // 4:
             raise ValueError(f"bit length {n} does not match {len(digits)} hex digits")
         bits = "".join(format(int(d, 16), "04b") for d in digits)
         if bits[n:].strip("0"):

@@ -131,12 +131,7 @@ class GridArrangement:
 
     def __post_init__(self):
         K = self.K
-        if K < 2:
-            raise ValueError("grid side K must be >= 2")
-        if K > MAX_GRID_SIDE:
-            raise ValueError(f"grid side K must be <= 2^30, got {K}")
-        if len(self.points) > K * K:
-            raise ValueError("more pebbles than grid cells")
+        check_grid(K, len(self.points))
         prev = None
         for p in self.points:
             if not (0 <= p.x < K and 0 <= p.y < K):
@@ -534,6 +529,6 @@ def min_area_triangle(points, mode: str = "fast") -> TriangleReport:
     if grid:
         t = int(t)
         return TriangleReport(i, j, k, t, normalize_area(t, points.K))
-    t = float(t)
+    t = abs(float(t))  # the reference scan can report a zero cross product as -0.0
     return TriangleReport(i, j, k, t, t / 2.0)
 

@@ -489,17 +489,15 @@ def count_forbidding_lines(a: GridArrangement) -> int:
     if m < 2:
         return 0
     arr = np.array(up, dtype=np.int64)
+    # rows ascend strictly, so with the later pebble first dy > 0, as in _intercept
     ii, jj = np.triu_indices(m, 1)
-    x1, y1 = arr[ii, 0], arr[ii, 1]
-    x2, y2 = arr[jj, 0], arr[jj, 1]
+    x1, y1 = arr[jj, 0], arr[jj, 1]
+    x2, y2 = arr[ii, 0], arr[ii, 1]
     dy = y1 - y2
-    flip = dy < 0
-    dy = np.where(flip, -dy, dy)
     S = a.K - 1
 
     def crosses(row: int) -> np.ndarray:
-        num = x2 * (y1 - y2) + (row - y2) * (x1 - x2)
-        num = np.where(flip, -num, num)
+        num = x2 * dy + (row - y2) * (x1 - x2)
         return (num >= 0) & (num <= S * dy)
 
     return int(np.count_nonzero(crosses(0) & crosses(split)))

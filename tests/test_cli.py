@@ -271,6 +271,75 @@ class TestWitnessCommands:
         assert rec["results"]["savings"] == rec["results"]["baseline_length"] - rec["results"]["witness_length"]
 
 
+# Each command's params as the hand-written dicts before run() built the
+# record; "{dir}", "{grid}" and "{points}" stand for the test's paths.
+PARENT_PARAMS = [
+    (["min-triangle", "--file", "{grid}", "--mode", "exhaustive"],
+     {"file": "{grid}", "mode": "exhaustive"}),
+    (["sample", "--n", "6", "--k", "32", "--seed", "5", "--out", "{dir}/s.txt"],
+     {"n": 6, "k": 32, "stream": 0, "out": "{dir}/s.txt"}),
+    (["scan", "--ns", "8,12", "--seed", "2", "--trials", "20"],
+     {"ns": [8, 12], "trials": 20, "jobs": 1}),
+    (["tail", "--n", "5", "--threshold", "0.5", "--trials", "10", "--seed", "1"],
+     {"n": 5, "threshold": 0.5, "trials": 10, "jobs": 1}),
+    (["construct-erdos", "--p", "7", "--out", "{dir}/e.txt"],
+     {"p": 7, "out": "{dir}/e.txt"}),
+    (["optimize", "--n", "3", "--seed", "1", "--restarts", "1", "--steps", "10", "--out", "{dir}/o.txt"],
+     {"n": 3, "restarts": 1, "steps": 10, "jobs": 1}),
+    (["rank", "--file", "{grid}"],
+     {"file": "{grid}"}),
+    (["unrank", "--k", "8", "--n", "3", "--index", "17"],
+     {"k": 8, "n": 3, "index": "17"}),
+    (["witness", "small_triangle", "encode", "--file", "{grid}", "--triple", "0,1,2"],
+     {"kind": "small_triangle", "action": "encode", "file": "{grid}", "out": None}),
+    (["stats-degenerate", "--k", "4", "--n", "3", "--trials", "10", "--seed", "4"],
+     {"k": 4, "n": 3, "trials": 10}),
+    (["analyze", "--file", "{points}", "--seed", "7", "--baseline-trials", "20"],
+     {"file": "{points}", "baseline_trials": 20}),
+]
+ADDED_PARAMS = {"scan": {"format"}, "optimize": {"out"}, "unrank": {"out"}, "witness": {"triple"}}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("argv, parent", PARENT_PARAMS, ids=[a[0] for a, _ in PARENT_PARAMS])
+    def test_params_extend_the_hand_written_dicts(self, capsys, monkeypatch, tmp_path,
+                                                 grid_file, corners_file, argv, parent):
+        monkeypatch.delenv("HEILBRONN_JOBS", raising=False)
+        paths = {"dir": str(tmp_path), "grid": grid_file[0], "points": corners_file}
+
+        def fill(value):
+            return value.format(**paths) if isinstance(value, str) else value
+
+        rec = run_json(capsys, [fill(a) for a in argv])
+        parent = {k: fill(v) for k, v in parent.items()}
+        params = rec["params"]
+        assert {k: params.get(k) for k in parent} == parent
+        assert set(params) - set(parent) == ADDED_PARAMS.get(argv[0], set())
+        assert rec["seed"] == (int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None)
+        assert "seed" not in params
+
+    def test_params_follow_parser_order(self, capsys, grid_file):
+        rec = run_json(capsys, ["witness", "small_triangle", "encode", "--triple", "0,1,2",
+                                "--file", grid_file[0]])
+        assert list(rec["params"].items()) == [
+            ("kind", "small_triangle"), ("action", "encode"), ("file", grid_file[0]),
+            ("out", None), ("triple", [0, 1, 2]),
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--ns", "8,x", "--seed", "1"],
+        ["scan", "--ns", "", "--seed", "1"],
+        ["witness", "small_triangle", "encode", "--file", "g.txt", "--triple", "0,1"],
+        ["witness", "small_triangle", "decode", "--file", "w.hw1", "--triple", "0,1,x"],
+    ])
+    def test_malformed_integer_list_is_usage_error(self, capsys, argv):
+        option = next(a for a in argv if a in ("--ns", "--triple"))
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: argument {option}: ")
+
+
 class TestExitCodes:
     def test_unknown_command_usage(self):
         assert run(["frobnicate"]) == 1

@@ -190,6 +190,11 @@ class TestBitStringSerialization:
         with pytest.raises(ValueError):
             BitString.from_hex("8:a")  # wrong digit count
 
+    @pytest.mark.parametrize("text", ["+5:a8", "0_5:a8", "\u0665:a8", "5:\u0665\u0660"])
+    def test_rejects_non_ascii_digits_signs_and_underscores(self, text):
+        with pytest.raises(ValueError, match="^malformed bit string serialization"):
+            BitString.from_hex(text)
+
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             BitString("012")

@@ -1,5 +1,6 @@
 import pytest
 
+from heilbronn.cli import run
 from heilbronn.coding import BitString
 from heilbronn.formats import (
     FormatError,
@@ -135,6 +136,16 @@ class TestWitnessFormat:
         path.write_text("HW1 sorcery K=4 n=3\n0:\n")
         with pytest.raises(FormatError, match="kind"):
             load_witness(path)
+
+    @pytest.mark.parametrize("payload", ["+5:a8", "0_5:a8", "\u0665:a8", "5:\u0665\u0660"])
+    def test_payload_text_is_plain_ascii(self, tmp_path, capsys, payload):
+        path = tmp_path / "w.hw1"
+        path.write_text(f"HW1 rowline K=8 n=2\n{payload}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":2:"):
+            load_witness(path)
+        argv = ["witness", "rowline", "decode", "--file", str(path), "--out", str(tmp_path / "g.txt")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_payload(self, tmp_path):
         path = tmp_path / "w.hw1"

@@ -134,6 +134,13 @@ class TestMinAreaTriangle:
         ps = PointSet.from_coords([(0, 0), (0.25, 0.25), (0.5, 0.5), (0.9, 0.1)])
         assert min_area_triangle(ps).area == 0.0
 
+    @pytest.mark.parametrize("mode", ["fast", "exhaustive"])
+    def test_zero_area_is_positive_zero(self, mode):
+        # the reference scan's first minimal cross product here is -0.0
+        ps = PointSet.from_coords([(0.5, 0.5), (0.5, 0.9), (0.5, 0.1), (0.2, 0.3)])
+        rep = min_area_triangle(ps, mode=mode)
+        assert rep.twice_area.hex() == rep.area.hex() == "0x0.0p+0"
+
     def test_seeded_32_points_match_exhaustive_oracle(self):
         ps = sample_unit_square(32, seed=7, stream_id=0)
         ex = min_area_triangle(ps, mode="exhaustive")
@@ -241,6 +248,12 @@ class TestDomainTypes:
             GridArrangement(4, (GridPoint(1, 1), GridPoint(0, 0)))  # unsorted
         with pytest.raises(ValueError):
             GridArrangement.from_points(1, [(0, 0)])
+
+    @pytest.mark.parametrize("K, n", [(1, 0), (2**30 + 1, 1), (2, 5)])
+    def test_bad_grid_reports_check_grid_message(self, K, n):
+        points = tuple(GridPoint(c % K, c // K) for c in range(n))
+        with pytest.raises(ValueError, match=f"^no arrangement of n={n} pebbles on a K={K} grid$"):
+            GridArrangement(K, points)
 
     def test_unit_point_validates(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from heilbronn.witnesses import (
     ForbiddingLineSet,
     count_forbidding_lines,
     _exclusion_runs,
+    _intercept,
     _theorem2_widths,
     decode_witness,
     encode_theorem2,
@@ -94,6 +96,31 @@ class TestForbiddingLines:
 
             norms = {normal(s) for s in f.segments}
             assert len(norms) == len(f.segments)
+
+    @staticmethod
+    def reference_count(a):
+        """Pairs of upper pebbles whose line meets row 0 and the split row
+        inside the square, one exact intercept at a time."""
+        split = split_row(a)
+        up = [(p.x, p.y) for p in a.points if p.y > split]
+        S = a.K - 1
+
+        def inside(seg, row):
+            num, den = _intercept(seg, row)
+            return 0 <= num <= S * den
+
+        return sum(inside(seg, 0) and inside(seg, split) for seg in combinations(up, 2))
+
+    @pytest.mark.parametrize("K", range(3, 13))
+    def test_count_matches_exact_intercepts_small(self, K):
+        for n in sorted({2, 3, K // 2 + 1, K}):
+            for t in range(4):
+                a = distinct_row_arrangement(K, n, seed=K, stream=t)
+                assert count_forbidding_lines(a) == self.reference_count(a)
+
+    def test_count_matches_exact_intercepts_k20(self):
+        a = distinct_row_arrangement(K20, 200, seed=54, stream=0)
+        assert count_forbidding_lines(a) == self.reference_count(a)
 
     def test_definitional_count_at_least_certified(self):
         for t in range(10):
