@@ -300,6 +300,8 @@ _ENCODERS = {
 
 
 def _cmd_witness(args):
+    if args.triple is not None and (args.kind, args.action) != ("small_triangle", "encode"):
+        raise UsageError("--triple applies only to small_triangle encode")
     if args.action == "encode":
         a = load_grid(args.file)
         rep = _ENCODERS[args.kind](a, args.triple)

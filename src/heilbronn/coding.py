@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb, exp, expm1, factorial, log, log1p, perm
+from typing import Iterable
 
 from .geometry import GridArrangement, GridPoint, check_grid
 
@@ -72,12 +73,17 @@ class BitString:
             raise ValueError(f"value {value} does not fit in {width} bits")
         return cls(format(value, f"0{width}b") if width else "")
 
+    @classmethod
+    def join(cls, parts: Iterable["BitString"]) -> "BitString":
+        """The concatenation of ``parts``, in one pass."""
+        return cls("".join(p.bits for p in parts))
+
     def to_hex(self) -> str:
         """Serialize as '<decimal bit length>:<hex nibbles>', the final
         partial nibble padded with zero bits."""
         n = len(self.bits)
         padded = self.bits + "0" * (-n % 4)
-        digits = "".join(format(int(padded[i : i + 4], 2), "x") for i in range(0, len(padded), 4))
+        digits = format(int(padded, 2), f"0{len(padded) // 4}x") if padded else ""
         return f"{n}:{digits}"
 
     @classmethod
@@ -92,7 +98,7 @@ class BitString:
             raise ValueError(f"malformed bit string serialization: {text!r}") from None
         if len(digits) != (n + 3) // 4:
             raise ValueError(f"bit length {n} does not match {len(digits)} hex digits")
-        bits = "".join(format(int(d, 16), "04b") for d in digits)
+        bits = format(int(digits, 16), f"0{4 * len(digits)}b") if digits else ""
         if bits[n:].strip("0"):
             raise ValueError("nonzero padding bits in serialization")
         return cls(bits[:n])

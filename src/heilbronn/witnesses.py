@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, e as _E, gcd, log2
-from typing import Iterable, Iterator, Optional, Sequence
+from math import comb, gcd
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .coding import (
     unrank_combination,
 )
 from .geometry import MAX_GRID_SIDE, GridArrangement, GridPoint, min_area_triangle
-
-WITNESS_KINDS = ("collinear", "rowline", "small_triangle", "theorem2")
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -145,41 +142,36 @@ def _width_sub_rank(K: int, n: int) -> int:
     return ceil_log2(comb(K * K, n - 1))
 
 
-def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> tuple[GridPoint, ...]:
-    width = _width_sub_rank(K, n)
+def _combination_bits(cells: Sequence[int], m: int, width: int) -> BitString:
+    """A ranked-combination field: the strictly increasing ``cells`` of
+    range(m) as their rank, in ``width`` bits."""
+    return BitString.from_int(rank_combination(cells, m), width)
+
+
+def _read_combination(reader: BitReader, k: int, m: int, width: int, what: str) -> tuple[int, ...]:
+    """Read a ``_combination_bits`` field of k cells of range(m); ``what``
+    names the field when the rank is C(m, k) or more."""
     rank = reader.read_uint(width)
     try:
-        cells = unrank_combination(rank, n - 1, K * K)
+        return unrank_combination(rank, k, m)
     except ValueError as exc:
-        raise DecodeError(f"sub-arrangement rank out of range at bit {reader.pos}: {exc}") from None
-    return tuple(GridPoint(c % K, c // K) for c in cells)
+        raise DecodeError(f"{what} rank out of range at bit {reader.pos}: {exc}") from None
 
 
-def _read_pair(reader: BitReader, m: int) -> tuple[int, int]:
-    """Read a pair rank over range(m) and return the pair (i, j), i < j."""
-    domain = comb(m, 2)
-    rank = reader.read_uint(ceil_log2(domain))
-    if rank >= domain:
-        raise DecodeError(f"pair rank {rank} out of range at bit {reader.pos}")
-    return unrank_combination(rank, 2, m)
+def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> list[GridPoint]:
+    cells = _read_combination(reader, n - 1, K * K, _width_sub_rank(K, n), "sub-arrangement")
+    return [GridPoint(c % K, c // K) for c in cells]
 
 
-def _pair_bits(i: int, j: int, m: int) -> BitString:
-    """The pair {i, j} of range(m) as _read_pair reads it back."""
-    return BitString.from_int(rank_combination((min(i, j), max(i, j)), m), ceil_log2(comb(m, 2)))
-
-
-def _sub_rank_bits(a: GridArrangement, drop: int) -> BitString:
-    cells = tuple(c for idx, c in enumerate(a.cells()) if idx != drop)
-    rank = rank_combination(cells, a.K * a.K)
-    return BitString.from_int(rank, _width_sub_rank(a.K, a.n))
-
-
-def _decoded_arrangement(K: int, pts: Iterable[GridPoint]) -> GridArrangement:
-    try:
-        return GridArrangement.from_points(K, [(p.x, p.y) for p in pts])
-    except ValueError as exc:
-        raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
+def _decoded_arrangement(K: int, pebbles: list[GridPoint]) -> GridArrangement:
+    """The arrangement of the decoded pebbles, which the field readers
+    keep inside the grid but not always distinct."""
+    pebbles.sort()
+    for p, q in zip(pebbles, pebbles[1:]):
+        if p == q:
+            raise DecodeError(f"decoded points are not a valid arrangement: "
+                              f"duplicate pebble at ({p.x}, {p.y})")
+    return GridArrangement(K, tuple(pebbles))
 
 
 def _line_slots(P: GridPoint, Q: GridPoint, K: int) -> tuple[int, int, int, int, int]:
@@ -225,8 +217,9 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
     pts = a.points
     P, Q, R = pts[i], pts[j], pts[k]
 
-    sub_bits = _sub_rank_bits(a, k)
-    pair_bits = _pair_bits(i, j, a.n - 1)
+    cells, m = a.cells(), a.n - 1
+    sub_bits = _combination_bits(cells[:k] + cells[k + 1 :], a.K * a.K, _width_sub_rank(a.K, a.n))
+    pair_bits = _combination_bits((i, j), m, ceil_log2(comb(m, 2)))
 
     # R's slot on the line, not counting the slots of P and Q below it
     dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, a.K)
@@ -238,10 +231,9 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
     return WitnessReport("collinear", payload, baseline_length(a.K, a.n))
 
 
-def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
-    reader = BitReader(payload)
+def _decode_collinear(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     sub = _read_sub_arrangement(reader, K, n)
-    i, j = _read_pair(reader, n - 1)
+    i, j = _read_combination(reader, 2, n - 1, ceil_log2(comb(n - 1, 2)), "pair")
     P, Q = sub[i], sub[j]
     dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, K)
     if t_hi - t_lo == 1:
@@ -253,8 +245,7 @@ def _decode_collinear(payload: BitString, K: int, n: int) -> GridArrangement:
     first, second = sorted((-t_lo, t_Q - t_lo))
     slot = pos + (pos >= first)
     t = t_lo + slot + (slot >= second)
-    reader.expect_end()
-    return _decoded_arrangement(K, (*sub, GridPoint(P.x + t * dx, P.y + t * dy)))
+    return [*sub, GridPoint(P.x + t * dx, P.y + t * dy)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +262,8 @@ def encode_rowline_witness(a: GridArrangement) -> WitnessReport:
     pts = a.points
     P, R = pts[i], pts[j]
 
-    sub_bits = _sub_rank_bits(a, j)
+    cells = a.cells()
+    sub_bits = _combination_bits(cells[:j] + cells[j + 1 :], a.K * a.K, _width_sub_rank(a.K, a.n))
     p_bits = BitString.from_int(i, ceil_log2(a.n - 1))
 
     pos = R.x if R.x < P.x else R.x - 1
@@ -281,8 +273,7 @@ def encode_rowline_witness(a: GridArrangement) -> WitnessReport:
     return WitnessReport("rowline", payload, baseline_length(a.K, a.n))
 
 
-def _decode_rowline(payload: BitString, K: int, n: int) -> GridArrangement:
-    reader = BitReader(payload)
+def _decode_rowline(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     sub = _read_sub_arrangement(reader, K, n)
     m = n - 1
     pi = reader.read_uint(ceil_log2(m))
@@ -293,8 +284,7 @@ def _decode_rowline(payload: BitString, K: int, n: int) -> GridArrangement:
     if pos >= K - 1:
         raise DecodeError(f"row cell index {pos} out of range at bit {reader.pos}")
     x = pos if pos < P.x else pos + 1
-    reader.expect_end()
-    return _decoded_arrangement(K, (*sub, GridPoint(x, P.y)))
+    return [*sub, GridPoint(x, P.y)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +394,26 @@ def encode_small_triangle_witness(
     r_idx, p_idx, q_idx = _relabel_longest(pts, (i, j, k))
     index = _triangle_candidate_index(pts[p_idx], pts[q_idx], pts[r_idx])  # raises if degenerate
 
-    sub_bits = _sub_rank_bits(a, r_idx)
-    # indices of P and Q inside the sub-arrangement (R removed)
-    pair_bits = _pair_bits(p_idx - (p_idx > r_idx), q_idx - (q_idx > r_idx), a.n - 1)
+    cells, m = a.cells(), a.n - 1
+    sub_bits = _combination_bits(cells[:r_idx] + cells[r_idx + 1 :], a.K * a.K, _width_sub_rank(a.K, a.n))
+    # indices of P and Q inside the sub-arrangement (R removed); p_idx < q_idx
+    pair = (p_idx - (p_idx > r_idx), q_idx - (q_idx > r_idx))
+    pair_bits = _combination_bits(pair, m, ceil_log2(comb(m, 2)))
     idx_bits = sd_prime(nat_to_string(index))
 
     payload = sub_bits + pair_bits + idx_bits
     return WitnessReport("small_triangle", payload, baseline_length(a.K, a.n))
 
 
-def _decode_small_triangle(payload: BitString, K: int, n: int) -> GridArrangement:
-    reader = BitReader(payload)
+def _decode_small_triangle(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     sub = _read_sub_arrangement(reader, K, n)
-    pi, qi = _read_pair(reader, n - 1)
+    pi, qi = _read_combination(reader, 2, n - 1, ceil_log2(comb(n - 1, 2)), "pair")
     P, Q = sub[pi], sub[qi]
     index = string_to_nat(sd_unprime(reader))
     R = _triangle_candidate_point(P, Q, index)
     if not (0 <= R.x < K and 0 <= R.y < K):
         raise DecodeError(f"candidate {R} falls outside the grid")
-    reader.expect_end()
-    return _decoded_arrangement(K, (*sub, R))
+    return [*sub, R]
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +608,14 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
     T_min = int(min_area_triangle(a, mode="fast").twice_area) if n >= 3 else 0
     header = BitString.from_int(T_min, header_w)
 
-    sorted_rows = tuple(sorted(a.rows()))
-    rows_bits = BitString.from_int(rank_combination(sorted_rows, K), rows_w)
+    rows_bits = _combination_bits(a.rows(), K, rows_w)  # distinct rows, ascending
 
     by_row_desc = sorted(a.points, key=lambda p: -p.y)
     upper = by_row_desc[: n // 2]
     lower = by_row_desc[n // 2 :]
 
-    upper_bits = BitString("".join(format(p.x, f"0{col_w}b") for p in upper))
+    packed = sum(p.x << col_w * i for i, p in enumerate(reversed(upper)))
+    upper_bits = BitString.from_int(packed, col_w * len(upper))
 
     # forbidding lines are a function of the upper half alone, so the
     # decoder can rebuild them before reading any lower-half column
@@ -643,27 +633,21 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
                     "is inside its own excluded set"
                 )
             rank -= hi - lo + 1
-        codes.append(sd_prime(nat_to_string(rank)).bits)
-    lower_bits = BitString("".join(codes))
+        codes.append(sd_prime(nat_to_string(rank)))
+    lower_bits = BitString.join(codes)
 
     payload = header + rows_bits + upper_bits + lower_bits
     return WitnessReport("theorem2", payload, baseline_length(K, n))
 
 
-def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
+def _decode_theorem2(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     if n % 2 or n < 2:
         raise DecodeError("theorem-2 witness requires an even number (>= 2) of pebbles")
     header_w, rows_w, col_w = _theorem2_widths(K, n)
-    reader = BitReader(payload)
     T_min = reader.read_uint(header_w)
     if T_min > (K - 1) ** 2:  # no grid triangle has a larger twice-area
         raise DecodeError(f"twice-area header {T_min} exceeds the grid maximum")
-    rows_rank = reader.read_uint(rows_w)
-    try:
-        sorted_rows = unrank_combination(rows_rank, n, K)
-    except ValueError as exc:
-        raise DecodeError(f"row-set rank out of range at bit {reader.pos}: {exc}") from None
-    rows_desc = sorted(sorted_rows, reverse=True)
+    rows_desc = _read_combination(reader, n, K, rows_w, "row-set")[::-1]
 
     upper = []
     for r in rows_desc[: n // 2]:
@@ -688,23 +672,22 @@ def _decode_theorem2(payload: BitString, K: int, n: int) -> GridArrangement:
                 break
             col += hi - lo + 1
         pts.append(GridPoint(col, r))
-    reader.expect_end()
-    return _decoded_arrangement(K, pts)
+    return pts
 
 
 # ---------------------------------------------------------------------------
 # dispatch and the closed-form bound
 
 
+# each kind's field reader, and the fewest pebbles its structure needs
 _DECODERS = {
-    "collinear": _decode_collinear,
-    "rowline": _decode_rowline,
-    "small_triangle": _decode_small_triangle,
-    "theorem2": _decode_theorem2,
+    "collinear": (_decode_collinear, 3),
+    "rowline": (_decode_rowline, 2),
+    "small_triangle": (_decode_small_triangle, 3),
+    "theorem2": (_decode_theorem2, 2),
 }
 
-# fewest pebbles each witness structure needs
-_MIN_PEBBLES = {"collinear": 3, "rowline": 2, "small_triangle": 3, "theorem2": 2}
+WITNESS_KINDS = tuple(_DECODERS)
 
 
 def _min_payload_bits(kind: str, K: int, n: int) -> int:
@@ -728,14 +711,21 @@ def decode_witness(kind: str, payload: BitString, K: int, n: int) -> GridArrange
     """
     if kind not in _DECODERS:
         raise ValueError(f"unknown witness kind {kind!r}")
+    read_pebbles, min_n = _DECODERS[kind]
     max_n = K if kind == "theorem2" else K * K  # theorem-2 pebbles occupy distinct rows
-    if not 2 <= K <= MAX_GRID_SIDE or not _MIN_PEBBLES[kind] <= n <= max_n:
+    if not 2 <= K <= MAX_GRID_SIDE or not min_n <= n <= max_n:
         raise DecodeError(f"no {kind} witness exists for K={K}, n={n}")
     need = _min_payload_bits(kind, K, n)
     if len(payload) < need:
         raise DecodeError(f"stream ends early at bit 0: a {kind} witness for K={K}, n={n} "
                           f"has at least {need} bits, got {len(payload)}")
-    return _DECODERS[kind](payload, K, n)
+    reader = BitReader(payload)
+    pebbles = read_pebbles(reader, K, n)
+    reader.expect_end()
+    return _decoded_arrangement(K, pebbles)
+
+
+_LOG2_E = 1.4426950408889634  # log2(e) = 1/ln 2, correctly rounded
 
 
 def upper_bound_formula(delta: float, n: int, C1: float = 1e-4, slack: float = 0.0) -> float:
@@ -750,4 +740,4 @@ def upper_bound_formula(delta: float, n: int, C1: float = 1e-4, slack: float = 0
         raise ValueError("C1 must be positive")
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    return (14.0 * delta + slack) / (4.0 * C1 * n**3 * log2(_E))
+    return (14.0 * delta + slack) / (4.0 * C1 * n**3 * _LOG2_E)

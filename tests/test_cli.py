@@ -239,6 +239,22 @@ class TestWitnessCommands:
         assert calls == []
         assert "requires --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, action", [
+        ("rowline", "encode"), ("collinear", "encode"), ("theorem2", "encode"),
+        ("small_triangle", "decode"),
+    ])
+    def test_triple_only_for_small_triangle_encode(self, capsys, tmp_path, grid_file, kind, action):
+        out = tmp_path / "out.txt"
+        argv = ["witness", kind, action, "--file", grid_file[0], "--out", str(out), "--triple", "0,1,2"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --triple applies only to small_triangle encode\n"
+        assert not out.exists()
+        rec = run_json(capsys, ["witness", "small_triangle", "encode", "--file", grid_file[0],
+                                "--triple", "0,1,2"])
+        assert rec["results"]["kind"] == "small_triangle"
+
     @pytest.mark.parametrize("header", [
         "HW1 rowline K=1073741824 n=100001",
         "HW1 collinear K=1073741824 n=400001",
@@ -346,6 +362,12 @@ class TestExitCodes:
 
     def test_missing_required_flag(self):
         assert run(["sample", "--n", "4"]) == 1  # --seed required
+
+    def test_non_decimal_index_is_usage_error(self, capsys):
+        assert run(["unrank", "--k", "4", "--n", "2", "--index", "12x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --index must be a decimal integer, got '12x'\n"
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--ns", "8", "--seed", "1"],

@@ -180,6 +180,19 @@ class TestBitStringSerialization:
     def test_round_trip(self, x):
         assert BitString.from_hex(x.to_hex()) == x
 
+    @given(bitstrings, st.booleans())
+    def test_hex_matches_nibble_by_nibble_oracle(self, x, upper):
+        padded = x.bits + "0" * (-len(x) % 4)
+        digits = "".join(format(int(padded[i : i + 4], 2), "x") for i in range(0, len(padded), 4))
+        assert x.to_hex() == f"{len(x)}:{digits}"
+        text = f"{len(x)}:{digits.upper() if upper else digits}"
+        assert BitString.from_hex(text) == x
+
+    @given(st.lists(bitstrings, max_size=6))
+    def test_join_is_concatenation(self, parts):
+        assert BitString.join(parts) == sum(parts, BitString())
+        assert BitString.join(iter(parts)) == BitString.join(parts)
+
     def test_rejects_bad_padding(self):
         with pytest.raises(ValueError):
             BitString.from_hex("1:9")  # 1001: nonzero pad bits

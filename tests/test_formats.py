@@ -152,3 +152,28 @@ class TestWitnessFormat:
         path.write_text("HW1 collinear K=4 n=3\n4:zz\n")
         with pytest.raises(FormatError, match=":2:"):
             load_witness(path)
+
+
+WITNESS_DECODE = ["witness", "rowline", "decode", "--file", "{path}", "--out", "{out}"]
+
+
+class TestFormatErrorsThroughCli:
+    @pytest.mark.parametrize("argv, text, message", [
+        (["min-triangle", "--file", "{path}"], "0.1 0.2\n0.3 abc\n",
+         "{path}:2: non-numeric coordinate in '0.3 abc'"),
+        (["rank", "--file", "{path}"], "# no data\n\n", "{path}: missing 'grid <K> <n>' header"),
+        (["rank", "--file", "{path}"], "grid 4 x\n", "{path}:1: non-integer grid header"),
+        (["rank", "--file", "{path}"], "grid 4 1\n1 2 3\n", "{path}:2: expected 'x y', got '1 2 3'"),
+        (["rank", "--file", "{path}"], "grid 4 1\n1 y\n", "{path}:2: non-integer coordinate in '1 y'"),
+        (WITNESS_DECODE, "HW1 rowline K=4 n=3\n", "{path}: witness file needs a header and a payload line"),
+        (WITNESS_DECODE, "HW1 rowline K=4 m=3\n0:\n", "{path}:1: malformed K=/n= fields"),
+        (WITNESS_DECODE, "HW1 rowline K=x n=3\n0:\n", "{path}:1: malformed K=/n= fields"),
+    ], ids=["point", "no-data", "header", "row-fields", "coordinate", "one-line", "n-field", "K-value"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, argv, text, message):
+        path, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        path.write_text(text)
+        assert run([a.format(path=path, out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -12,6 +13,7 @@ from heilbronn.coding import BitString, DecodeError
 from heilbronn.geometry import MAX_GRID_SIDE, GridArrangement, min_area_triangle
 from heilbronn.witnesses import (
     ForbiddingLineSet,
+    _LOG2_E,
     count_forbidding_lines,
     _exclusion_runs,
     _intercept,
@@ -311,6 +313,12 @@ class TestUpperBoundFormula:
     def test_monotone_in_delta(self):
         vals = [upper_bound_formula(d, 50) for d in range(1, 10)]
         assert all(x <= y for x, y in zip(vals, vals[1:]))
+
+    def test_log2_e_is_correctly_rounded(self):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            reference = float(1 / Decimal(2).ln())
+        assert _LOG2_E.hex() == reference.hex() == "0x1.71547652b82fep+0"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

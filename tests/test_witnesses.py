@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 
@@ -264,6 +265,30 @@ class TestDecodeErrors:
             assert {p.x for p in a.points} == {P, Q, x} and {p.y for p in a.points} == {0}
         with pytest.raises(DecodeError, match="^rank 3 out of range for 3 allowed positions$"):
             decode_witness("collinear", sub + BitString("11"), 5, 3)
+
+    @pytest.mark.parametrize("kind, fields, K, n, message", [
+        # pair field 6 of 3 bits, past C(4, 2) = 6
+        ("collinear", [(0, 11), (6, 3), (0, 2)], 4, 5,
+         "pair rank out of range at bit 14: rank 6 out of range for C(4, 2)"),
+        # sub-arrangement {(0, 0), (1, 0)}, P = (0, 0), R lands on (1, 0)
+        ("rowline", [(rank_combination((0, 1), 16), 7), (0, 1), (0, 2)], 4, 3,
+         "decoded points are not a valid arrangement: duplicate pebble at (1, 0)"),
+        ("rowline", [(0, 6), (5, 3)], 6, 2, "row cell index 5 out of range at bit 9"),
+        # P = (0, 0), Q = (1, 0), R at candidate 100, 51 rows below the grid
+        ("small_triangle", [(rank_combination((0, 1), 16), 7), (0, 0), (100, None)], 4, 3,
+         "candidate GridPoint(0, -51) falls outside the grid"),
+        ("theorem2", [(17, 5), (0, 7)], 5, 2, "twice-area header 17 exceeds the grid maximum"),
+        ("theorem2", [(0, 5), (10, 4), (0, 3)], 5, 2,
+         "row-set rank out of range at bit 9: rank 10 out of range for C(5, 2)"),
+        ("theorem2", [(0, 5), (0, 4), (5, 3), (0, 1)], 5, 2, "column 5 out of range at bit 12"),
+    ], ids=["pair-rank", "duplicate", "row-cell", "candidate", "header", "row-set", "column"])
+    def test_crafted_payload_fails_its_field_check(self, kind, fields, K, n, message):
+        # (value, width) fields; width None is a self-delimiting natural
+        payload = sum((coding.sd_prime(coding.nat_to_string(v)) if w is None
+                       else BitString.from_int(v, w) for v, w in fields), BitString())
+        assert len(payload) >= _min_payload_bits(kind, K, n)
+        with pytest.raises(DecodeError, match=f"^{re.escape(message)}$"):
+            decode_witness(kind, payload, K, n)
 
     def test_theorem2_more_pebbles_than_rows(self):
         with pytest.raises(DecodeError, match="K=4, n=6"):
