@@ -20,6 +20,7 @@ from .geometry import (
     PointSet,
     TriangleReport,
     UnitPoint,
+    check_grid,
     min_area_triangle,
     # unused here; perfbench/spans.py patches this name to count calls
     twice_signed_area,  # noqa: F401
@@ -31,6 +32,9 @@ _INITIAL_STEP = 0.25
 _DECAY = 0.95
 _STREAK = 20
 _MIN_STEP = 1e-9
+
+# generator words a restart takes at once: three per move, for 256 moves
+_WORDS = 3 * 256
 
 
 def is_prime(p: int) -> bool:
@@ -63,6 +67,8 @@ def erdos_prime(p: int) -> GridArrangement:
 def _erdos_checked(p: int) -> tuple[GridArrangement, TriangleReport | None]:
     """``erdos_prime(p)`` and the minimal triangle its check scan found
     (None for p = 2, which has no triangle)."""
+    if p >= 2:
+        check_grid(p, p)  # a side past MAX_GRID_SIDE, before any trial division
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     arr = GridArrangement.from_points(p, [(i, (i * i) % p) for i in range(p)])
@@ -81,6 +87,14 @@ def erdos_area_lower_bound(p: int) -> float:
 
 @dataclass(frozen=True)
 class OptimizerResult:
+    """The best restart's points and minimum area, re-verified.
+
+    ``iterations`` is the number of moves drawn, summed over the restarts:
+    a restart that runs all ``steps`` counts ``steps``, and one whose step
+    size falls below ``_MIN_STEP`` first counts its moves plus the step
+    that found the size below the floor and drew nothing.
+    """
+
     points: PointSet
     value: float
     iterations: int
@@ -105,12 +119,14 @@ def _through(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
 
 
 class _Restart:
-    """The state of one restart (see ``_run_restart``), advanced one move
-    at a time: the points, the twice-area table ``tab``, ``value``, the
-    count ``minimal`` of minimal triples, their count ``cnt[i]`` through
-    each point i, and the step-size schedule."""
+    """The state of one restart (see ``_run_restart``): the points, the
+    twice-area table ``tab``, ``value``, the minimal triples ``mins`` as
+    ``(pos, a, b, c)``, their count ``minimal`` and their count ``cnt[i]``
+    through each point i, the step-size schedule, and the generator's
+    pending words ``words[k:]``."""
 
-    __slots__ = ("xs", "ys", "rng", "tab", "value", "minimal", "cnt", "through", "step", "streak")
+    __slots__ = ("xs", "ys", "rng", "tab", "value", "mins", "minimal", "cnt", "through",
+                 "step", "streak", "words", "k")
 
     def __init__(self, xs: list[float], ys: list[float], rng):
         self.xs = xs
@@ -128,59 +144,95 @@ class _Restart:
         self._recount()
         self.step = _INITIAL_STEP
         self.streak = 0
+        self.words: list[int] = []
+        self.k = 0
 
     def _recount(self) -> None:
         # min keeps the first of equal values, as the reference scan does
         value = min(self.tab) / 2.0
         cnt = [0] * len(self.xs)
-        minimal = 0
-        for (a, b, c), t in zip(_triples(len(self.xs)), self.tab):
+        mins = []
+        for pos, ((a, b, c), t) in enumerate(zip(_triples(len(self.xs)), self.tab)):
             if t / 2.0 == value:
-                minimal += 1
+                mins.append((pos, a, b, c))
                 cnt[a] += 1
                 cnt[b] += 1
                 cnt[c] += 1
         self.value = value
-        self.minimal = minimal
+        self.mins = mins
+        self.minimal = len(mins)
         self.cnt = cnt
 
     def advance(self) -> bool:
         """Draw and try one move; False, drawing nothing, once the step
         size has fallen below ``_MIN_STEP``."""
-        if self.step < _MIN_STEP:
-            return False
-        rng = self.rng
-        xs, ys = self.xs, self.ys
-        i = rng.below(len(xs))
-        axis = rng.below(2)
-        delta = (2.0 * rng.uniform() - 1.0) * self.step
-        coords = xs if axis == 0 else ys
-        old = coords[i]
-        if self.cnt[i] == self.minimal:
-            coords[i] = min(1.0, max(0.0, old + delta))
-            value = self.value
-            new = []
-            for pos, a, b, c in self.through[i]:
-                xa, ya = xs[a], ys[a]
-                t = (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa)
-                if t < 0:
-                    t = -t
-                if t / 2.0 <= value:
+        return self.run(1) == 1
+
+    def run(self, limit: int) -> int:
+        """Draw and try up to ``limit`` moves; the number made, fewer than
+        ``limit`` only once the step size has fallen below ``_MIN_STEP``."""
+        xs, ys, tab, through = self.xs, self.ys, self.tab, self.through
+        n = len(xs)
+        shift = 64 - (n - 1).bit_length()
+        value, mins, minimal, cnt = self.value, self.mins, self.minimal, self.cnt
+        step, streak = self.step, self.streak
+        words, k = self.words, self.k
+        end = len(words)
+        take = self.rng.take
+        for done in range(limit):
+            if step < _MIN_STEP:
+                break
+            # i = rng.below(n): this mirrors below's top-bits rejection loop;
+            # a refill leaves at least the two words a move reads after i
+            while True:
+                if k + 3 > end:
+                    words = words[k:] + take(_WORDS)
+                    k, end = 0, len(words)
+                i = words[k] >> shift
+                k += 1
+                if i < n:
                     break
-                new.append((pos, t))
-            else:
-                tab = self.tab
-                for pos, t in new:
-                    tab[pos] = t
-                self._recount()
-                self.streak = 0
-                return True
-            coords[i] = old
-        self.streak += 1
-        if self.streak >= _STREAK:
-            self.step *= _DECAY
-            self.streak = 0
-        return True
+            k += 2  # the words of axis = rng.below(2) and u = rng.uniform()
+            if cnt[i] == minimal:
+                coords = ys if words[k - 2] >> 63 else xs
+                delta = (2.0 * ((words[k - 1] >> 11) * 2.0**-53) - 1.0) * step
+                old = coords[i]
+                x = old + delta  # min(1.0, max(0.0, x)) without the calls
+                coords[i] = 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
+                for _, a, b, c in mins:
+                    xa, ya = xs[a], ys[a]
+                    t = (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa)
+                    if t < 0:
+                        t = -t
+                    if t / 2.0 <= value:
+                        break
+                else:
+                    new = []
+                    for pos, a, b, c in through[i]:
+                        xa, ya = xs[a], ys[a]
+                        t = (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa)
+                        if t < 0:
+                            t = -t
+                        if t / 2.0 <= value:
+                            break
+                        new.append((pos, t))
+                    else:
+                        for pos, t in new:
+                            tab[pos] = t
+                        self._recount()
+                        value, mins, minimal, cnt = self.value, self.mins, self.minimal, self.cnt
+                        streak = 0
+                        continue
+                coords[i] = old
+            streak += 1
+            if streak >= _STREAK:
+                step *= _DECAY
+                streak = 0
+        else:
+            done = limit
+        self.step, self.streak = step, streak
+        self.words, self.k = words, k
+        return done
 
 
 def _run_restart(n: int, seed: int, restart: int, steps: int) -> tuple[float, list[float], list[float], int]:
@@ -190,16 +242,25 @@ def _run_restart(n: int, seed: int, restart: int, steps: int) -> tuple[float, li
     lexicographic triple order and with the operand order of the reference
     scan ``geometry._min_triple_exhaustive`` (whose ``if t < 0: t = -t``
     keeps a ``-0.0``), so the first minimum of the table is the scan's and
-    ``value`` is that minimum halved.  It also counts the minimal triples
+    ``value`` is that minimum halved.  It also keeps the minimal triples
     (``t / 2.0 == value``) and, for each point, how many of them contain it.
 
     A move of point i is accepted only if the new minimum exceeds
     ``value``, and triangles without i keep their areas.  So the move is
-    rejected with no area computed when some minimal triangle avoids i;
-    otherwise the C(n-1, 2) triangles through i are evaluated, stopping at
-    the first with ``t / 2.0 <= value``.  Only an accepted move writes the
-    table and recounts the minimum.  Draws, decisions, values and
-    iterations are those of a full rescan on every step.
+    rejected with no area computed when some minimal triangle avoids i.
+    Otherwise the minimal triangles are evaluated first, and only if none
+    has ``t / 2.0 <= value`` the C(n-1, 2) triangles through i, stopping at
+    the first that does.  The rejection rule does not depend on the order
+    in which triangles are checked, and an accepted move has evaluated every
+    triangle through i; only it writes the table and recounts the minimum.
+
+    The steps run in one loop (``_Restart.run``) that decodes the draws of
+    ``below(n)``, ``below(2)`` and ``uniform()`` from the generator's words
+    itself, taking them in chunks of at most ``_WORDS`` words through
+    ``SplitMix64.take``, so memory does not grow with ``steps``; a move
+    that is rejected unseen skips its two words undecoded.  Draws,
+    decisions, values and iterations are those of a full rescan on every
+    step.
     """
     rng = stream_rng(seed, restart)
     xs = []
@@ -208,11 +269,10 @@ def _run_restart(n: int, seed: int, restart: int, steps: int) -> tuple[float, li
         xs.append(rng.uniform())
         ys.append(rng.uniform())
     climb = _Restart(xs, ys, rng)
-    it = 0
-    for it in range(1, steps + 1):
-        if not climb.advance():
-            break
-    return climb.value, xs, ys, it
+    done = climb.run(steps)
+    # a stop at the step floor counts the call that found it, as a loop of
+    # ``advance()`` calls would
+    return climb.value, xs, ys, done if done == steps else done + 1
 
 
 def optimize_heilbronn(

@@ -23,7 +23,8 @@ the scalar formula.  It has three users:
   block of streams to the bits ``below`` would keep (``word_block``);
 - the ``SplitMix64`` generator, which refills a word buffer with 16
   words, then twice as many each time up to ``_CHUNK``, and hands the
-  words out one by one.
+  words out one by one; ``take(k)`` hands out k at once, computing what
+  the buffer lacks in one call.
 
 The scalar finalizer ``mix64`` remains only for deriving stream states.
 """
@@ -104,6 +105,23 @@ class SplitMix64:
         self._width = min(2 * width, _CHUNK)
         self._buf = buf = words[::-1].tolist()
         return buf
+
+    def take(self, k: int) -> list[int]:
+        """The next k words, first word first, as k ``next64()`` calls
+        would return them: the buffered words, then the rest from one
+        ``_stream_words`` call."""
+        buf = self._buf
+        cut = len(buf) - k
+        if cut >= 0:
+            words = buf[cut:]
+            del buf[cut:]
+            words.reverse()
+            return words
+        words = buf[::-1]
+        buf.clear()
+        words += _stream_words(self._state, self._next, -cut)[0].tolist()
+        self._next -= cut
+        return words
 
     def next64(self) -> int:
         try:

@@ -155,6 +155,24 @@ class TestConstructErdos:
     def test_composite_is_data_error(self, capsys):
         assert run(["construct-erdos", "--p", "8"]) == 2
 
+    @pytest.mark.parametrize("p", [2**30 + 3, 2147483647, 1000000000000000003])
+    def test_side_past_grid_cap_refused_before_primality(self, capsys, monkeypatch, p):
+        from heilbronn import constructions
+
+        def refuse(p):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(constructions, "is_prime", refuse)
+        assert run(["construct-erdos", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no arrangement of n={p} pebbles on a K={p} grid\n"
+
+    @pytest.mark.parametrize("p", [-5, 0, 1, 9, 2**30 - 1])
+    def test_non_prime_message_unchanged(self, capsys, p):
+        assert run(["construct-erdos", "--p", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p} is not prime\n"
+
     def test_one_triple_scan(self, capsys, monkeypatch):
         from heilbronn import constructions
         from heilbronn.constructions import erdos_prime

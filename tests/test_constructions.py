@@ -1,4 +1,6 @@
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from heilbronn.constructions import (
     _INITIAL_STEP,
     _MIN_STEP,
     _STREAK,
+    _WORDS,
     _Restart,
     corners_plus_random,
     erdos_area_lower_bound,
@@ -17,7 +20,7 @@ from heilbronn.constructions import (
     optimize_heilbronn,
 )
 from heilbronn.geometry import _min_triple_exhaustive, min_area_triangle
-from heilbronn.rng import stream_rng
+from heilbronn.rng import SplitMix64, stream_rng
 from heilbronn.witnesses import find_collinear_triple
 
 # Independent dense-grid oracle for n = 5: per-point exhaustive sweeps over a
@@ -211,6 +214,53 @@ class TestIncrementalStep:
         rng = stream_rng(seed, 1)
         pts = [rng.uniform() for _ in range(2 * n)]
         drive(pts[0::2], pts[1::2], seed, 200)
+
+
+class TestWordChunks:
+    @pytest.mark.parametrize("n", [5, 7, 8, 16])
+    def test_advance_steps_equal_one_run(self, n, monkeypatch):
+        """600 moves take more than one chunk of words; n = 5 and 7 make
+        ``below(n)`` reject words, so a retry can meet a chunk's end."""
+        takes = []
+        take = SplitMix64.take
+
+        def counted(rng, k):
+            takes.append(k)
+            return take(rng, k)
+
+        monkeypatch.setattr(SplitMix64, "take", counted)
+        rng = stream_rng(11, n)
+        pts = [rng.uniform() for _ in range(2 * n)]
+        stepped = _Restart(pts[0::2], pts[1::2], stream_rng(5, n))
+        for _ in range(600):
+            assert stepped.advance()
+        ran = _Restart(pts[0::2], pts[1::2], stream_rng(5, n))
+        assert ran.run(600) == 600
+        assert len(takes) >= 4  # both restarts refilled past their first chunk
+        for climb in (stepped, ran):
+            assert_state_is_recount(climb)
+        assert [v.hex() for v in stepped.xs + stepped.ys] == [v.hex() for v in ran.xs + ran.ys]
+        assert [t.hex() for t in stepped.tab] == [t.hex() for t in ran.tab]
+        assert stepped.value.hex() == ran.value.hex()
+        assert (stepped.step, stepped.streak) == (ran.step, ran.streak)
+
+    def test_words_bounded_for_any_steps(self, monkeypatch):
+        """A restart takes at most ``_WORDS`` words at once, however many
+        steps it may run; this run stops at the step floor, as the golden
+        20000-step run of n = 3 does."""
+        take = SplitMix64.take
+
+        def capped(rng, k):
+            assert k <= _WORDS
+            return take(rng, k)
+
+        monkeypatch.setattr(SplitMix64, "take", capped)
+        golden = json.loads((Path(__file__).parent / "data" / "optimizer_golden.json").read_text())
+        want = golden["n=3,seed=0,steps=20000"]
+        res = optimize_heilbronn(3, restarts=3, steps=10**12, seed=0)
+        assert res.value.hex() == want["value"]
+        assert [[p.x.hex(), p.y.hex()] for p in res.points.points] == want["points"]
+        assert res.iterations == want["iterations"]
 
 
 class TestCornersPlusRandom:

@@ -148,3 +148,17 @@ def test_uniform_block_is_the_word_block_top_bits():
 def test_empty_word_block(width):
     block = word_block(1, 5, 5, width)
     assert block.shape == (0, width) and block.dtype == np.uint64
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 5])
+@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 300, 1000])
+def test_take_is_k_next64_calls(drawn, k):
+    rng, ref = SplitMix64(derive_state(7, 3)), ScalarSplitMix64(derive_state(7, 3))
+    for _ in range(drawn):
+        assert rng.next64() == ref.next64()
+    assert rng.take(k) == [ref.next64() for _ in range(k)]
+    # below and uniform continue the same stream after the block
+    for _ in range(40):
+        assert rng.below(12) == ref.below(12)
+        assert rng.uniform() == (ref.next64() >> 11) * 2.0**-53
+    assert rng.next64() == ref.next64()
