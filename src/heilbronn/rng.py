@@ -11,22 +11,23 @@ starts from state ``mix(m XOR mix(s * GOLDEN))`` where ``mix`` is the
 SplitMix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.  Distinct stream ids
 therefore yield decorrelated, order-independent streams.
 
-SplitMix64 is counter-based: word k (k >= 1) of a stream is
-``mix(state + k * GOLDEN)``, a function of the counter alone.  One word
-source, ``_stream_words``, computes such words for many streams and
-counters at once in wrapping numpy uint64 arithmetic, bit-identical to
-the scalar formula.  It has three users:
+Seeds and stream ids are used modulo 2^64: seeds -1, 2^64 - 1 and
+2^65 - 1 give the same streams, and so do stream ids -1 and 2^64 - 1.
+
+The ``SplitMix64`` generator holds one 64-bit state; each word adds
+GOLDEN to it and returns the finalizer ``mix64`` of the sum.  So the
+generator is counter-based: word k (k >= 1) of a stream is
+``mix(state + k * GOLDEN)``, a function of the counter alone.
+``_stream_words`` computes such words for many streams and counters at
+once in wrapping numpy uint64 arithmetic, bit-identical to the scalar
+formula.  It has three users:
 
 - ``uniform_block``: the leading uniforms of many streams, one row per
   Monte Carlo trial (through ``word_block``);
 - the grid trials of ``montecarlo``, which shift the leading words of a
   block of streams to the bits ``below`` would keep (``word_block``);
-- the ``SplitMix64`` generator, which refills a word buffer with 16
-  words, then twice as many each time up to ``_CHUNK``, and hands the
-  words out one by one; ``take(k)`` hands out k at once, computing what
-  the buffer lacks in one call.
-
-The scalar finalizer ``mix64`` remains only for deriving stream states.
+- ``SplitMix64.take(k)``, which computes the generator's next k words at
+  once and steps its state past them.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-
-#: words computed by the first refill of a ``SplitMix64`` buffer; each
-#: later refill doubles it, up to ``_CHUNK`` words
-_FIRST_REFILL = 16
-_CHUNK = 256
 
 
 def mix64(z: int) -> int:
@@ -81,61 +77,28 @@ def _stream_words(states: np.ndarray, first: int, width: int) -> np.ndarray:
 
 
 class SplitMix64:
-    """SplitMix64 sequence generator starting from an explicit state.
+    """SplitMix64 sequence generator starting from an explicit state:
+    each word adds GOLDEN to the state and returns its finalizer."""
 
-    Words come from a buffer that ``_stream_words`` refills with the next
-    consecutive counters, so the sequence is the scalar one: word k is the
-    finalizer of ``state + k * GOLDEN``.  The first refill computes
-    ``_FIRST_REFILL`` words and each later one twice as many, up to
-    ``_CHUNK``, so a stream that draws a few words pays for a few.
-    """
-
-    __slots__ = ("_state", "_next", "_width", "_buf")
+    __slots__ = ("_state",)
 
     def __init__(self, state: int):
-        self._state = np.array([state & MASK64], dtype=np.uint64)
-        self._next = 1  # counter of the first word of the next refill
-        self._width = _FIRST_REFILL  # words of the next refill
-        self._buf: list[int] = []  # pending words, the next one last
-
-    def _refill(self) -> list[int]:
-        width = self._width
-        words = _stream_words(self._state, self._next, width)[0]
-        self._next += width
-        self._width = min(2 * width, _CHUNK)
-        self._buf = buf = words[::-1].tolist()
-        return buf
+        self._state = state & MASK64
 
     def take(self, k: int) -> list[int]:
         """The next k words, first word first, as k ``next64()`` calls
-        would return them: the buffered words, then the rest from one
-        ``_stream_words`` call."""
-        buf = self._buf
-        cut = len(buf) - k
-        if cut >= 0:
-            words = buf[cut:]
-            del buf[cut:]
-            words.reverse()
-            return words
-        words = buf[::-1]
-        buf.clear()
-        words += _stream_words(self._state, self._next, -cut)[0].tolist()
-        self._next -= cut
+        would return them, from one ``_stream_words`` call."""
+        words = _stream_words(np.array([self._state], dtype=np.uint64), 1, k)[0].tolist()
+        self._state = (self._state + k * GOLDEN) & MASK64
         return words
 
     def next64(self) -> int:
-        try:
-            return self._buf.pop()
-        except IndexError:
-            return self._refill().pop()
+        self._state = (self._state + GOLDEN) & MASK64
+        return mix64(self._state)
 
     def uniform(self) -> float:
         """Uniform float64 in [0, 1) built from 53 random bits."""
-        try:
-            word = self._buf.pop()
-        except IndexError:
-            word = self._refill().pop()
-        return (word >> 11) * 2.0**-53
+        return (self.next64() >> 11) * 2.0**-53
 
     def below(self, bound: int) -> int:
         """Unbiased uniform integer in [0, bound) via top-bits rejection;
@@ -148,13 +111,8 @@ class SplitMix64:
         if bits == 0:
             return 0
         shift = 64 - bits
-        buf = self._buf
         while True:
-            try:
-                r = buf.pop() >> shift
-            except IndexError:
-                buf = self._refill()
-                r = buf.pop() >> shift
+            r = self.next64() >> shift
             if r < bound:
                 return r
 

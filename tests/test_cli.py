@@ -118,6 +118,28 @@ class TestScan:
         assert "need at least 2 trials" in captured.err
 
 
+class TestSeedAliasing:
+    """Seeds and stream ids are used modulo 2^64 (README, Command line)."""
+
+    def test_scan_seeds_alias_modulo_2_64(self, capsys):
+        records = [run_json(capsys, ["scan", "--ns", "3", "--trials", "4", "--seed", str(s)])
+                   for s in (-1, 2**64 - 1, 2**65 - 1)]
+        assert [r["seed"] for r in records] == [-1, 2**64 - 1, 2**65 - 1]
+        samples = [{k: v for k, v in r["results"]["samples"][0].items() if k != "seed"}
+                   for r in records]
+        assert samples[0] == samples[1] == samples[2]
+
+    @pytest.mark.parametrize("grid", [[], ["--k", "64"]])
+    def test_sample_streams_alias_modulo_2_64(self, capsys, tmp_path, grid):
+        files = []
+        for stream in (-1, 2**64 - 1):
+            out = tmp_path / f"s{stream}.txt"
+            run_json(capsys, ["sample", "--n", "9", *grid, "--seed", "3",
+                              "--stream", str(stream), "--out", str(out)])
+            files.append(out.read_text())
+        assert files[0] == files[1]
+
+
 class TestTailStatsOptimize:
     def test_tail(self, capsys):
         rec = run_json(

@@ -1,20 +1,19 @@
-"""The one SplitMix64 word source against the scalar formula: word k of a
-stream with state s is ``mix64((s + k * GOLDEN) & MASK64)``.  The buffered
-generator must hand out exactly those words across refills, ``below`` must
-reject and retry as the scalar loop does when a retry crosses a refill,
-and ``word_block`` rows must be the streams' leading words."""
+"""SplitMix64 against the scalar formula: word k of a stream with state s
+is ``mix64((s + k * GOLDEN) & MASK64)``.  The generator's scalar draws
+must hand out exactly those words without the numpy word source, ``below``
+must reject and retry as the scalar loop does, ``take`` must continue the
+same stream, and ``word_block`` rows must be the streams' leading words."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from heilbronn import rng as rng_module
 from heilbronn.rng import (
     GOLDEN,
     MASK64,
     SplitMix64,
-    _CHUNK,
-    _FIRST_REFILL,
     derive_state,
     mix64,
     stream_rng,
@@ -26,23 +25,8 @@ STATES = [0, 1, MASK64, derive_state(2024, 7)]
 BOUNDS = [1, 2, 3, 12, 2**40 + 1, 2**64]
 
 
-def refill_ends(limit: int) -> list[int]:
-    """Counters of the last word of each refill, up to ``limit``: the
-    refills hold 16, 32, 64, 128 words and then ``_CHUNK`` each."""
-    ends, width, end = [], _FIRST_REFILL, 0
-    while end < limit:
-        end += width
-        ends.append(end)
-        width = min(2 * width, _CHUNK)
-    return ends
-
-
-# the growing refills end at word 240, then three whole _CHUNK refills
-WORDS = 240 + 3 * _CHUNK + 1
-
-
 class ScalarSplitMix64:
-    """The unbuffered generator: one ``mix64`` per word."""
+    """An independent copy of the textbook generator that counts its words."""
 
     def __init__(self, state: int):
         self.state = state & MASK64
@@ -66,52 +50,30 @@ class ScalarSplitMix64:
 @pytest.mark.parametrize("state", STATES)
 def test_next64_is_the_counter_formula_across_refills(state):
     rng = SplitMix64(state)
-    for k in range(1, WORDS + 1):
+    for k in range(1, 1010):
         assert rng.next64() == mix64((state + k * GOLDEN) & MASK64), k
-
-
-def test_refills_start_small_and_double_up_to_the_chunk():
-    assert refill_ends(1000)[:7] == [16, 48, 112, 240, 496, 752, 1008]
-    rng = SplitMix64(3)
-    computed = []
-    for _ in range(1008):
-        rng.next64()
-        computed.append(rng._next - 1)  # words computed so far
-    # the k-th draw has computed exactly the refills that reach word k
-    ends = refill_ends(1008)
-    assert computed == [next(e for e in ends if e >= k) for k in range(1, 1009)]
 
 
 @pytest.mark.parametrize("state", STATES)
 def test_uniform_is_the_top_53_bits(state):
     rng, ref = SplitMix64(state), ScalarSplitMix64(state)
-    for _ in range(WORDS):
+    for _ in range(1009):
         assert rng.uniform() == (ref.next64() >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_below_matches_the_scalar_loop_across_refills(bound):
-    """Skip 0..15 words, then draw ``below`` over the growing refills and
-    three whole ``_CHUNK`` refills; a draw whose rejections run from one
-    refill into the next must occur for every bound that rejects at all."""
-    ends = refill_ends(WORDS)
-    straddled = False
+    """Skip 0..15 words, then draw ``below`` until 1009 words are used."""
     for skip in range(16):
         for state in STATES:
             rng, ref = SplitMix64(state), ScalarSplitMix64(state)
             for _ in range(skip):
                 assert rng.next64() == ref.next64()
-            while ref.words < WORDS:
-                before = ref.words
-                want = ref.below(bound)
-                assert rng.below(bound) == want
-                if any(before < e < ref.words for e in ends):
-                    straddled = True
+            while ref.words < 1009:
+                assert rng.below(bound) == ref.below(bound)
                 if bound == 1:  # below(1) draws no word
                     assert rng.next64() == ref.next64()
             assert rng.next64() == ref.next64()  # both consumed the same words
-    rejects = (bound & (bound - 1)) != 0  # a power of two is never rejected
-    assert straddled == rejects
 
 
 @pytest.mark.parametrize("bound", [2**64 + 1, 2**65, 2**200])
@@ -131,11 +93,11 @@ def test_below_rejects_a_nonpositive_bound(bound):
 def test_word_block_rows_are_the_scalar_streams(seed, start):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning fails
-        block = word_block(seed, start, start + 3, 2 * _CHUNK + 1)
-    assert block.shape == (3, 2 * _CHUNK + 1) and block.dtype == np.uint64
+        block = word_block(seed, start, start + 3, 513)
+    assert block.shape == (3, 513) and block.dtype == np.uint64
     for r in range(3):
         ref = ScalarSplitMix64(derive_state(seed, start + r))
-        assert block[r].tolist() == [ref.next64() for _ in range(2 * _CHUNK + 1)]
+        assert block[r].tolist() == [ref.next64() for _ in range(513)]
 
 
 def test_uniform_block_is_the_word_block_top_bits():
@@ -153,12 +115,29 @@ def test_empty_word_block(width):
 @pytest.mark.parametrize("drawn", [0, 1, 5])
 @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 300, 1000])
 def test_take_is_k_next64_calls(drawn, k):
-    rng, ref = SplitMix64(derive_state(7, 3)), ScalarSplitMix64(derive_state(7, 3))
-    for _ in range(drawn):
+    # MASK64 and the large states catch a take that does not wrap its state
+    for state in [derive_state(7, 3), *STATES]:
+        rng, ref = SplitMix64(state), ScalarSplitMix64(state)
+        for _ in range(drawn):
+            assert rng.next64() == ref.next64()
+        assert rng.take(k) == [ref.next64() for _ in range(k)]
+        # take, below and uniform continue the same stream after the block
+        assert rng.take(2) == [ref.next64() for _ in range(2)]
+        for _ in range(40):
+            assert rng.below(12) == ref.below(12)
+            assert rng.uniform() == (ref.next64() >> 11) * 2.0**-53
         assert rng.next64() == ref.next64()
-    assert rng.take(k) == [ref.next64() for _ in range(k)]
-    # below and uniform continue the same stream after the block
-    for _ in range(40):
-        assert rng.below(12) == ref.below(12)
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_scalar_draws_do_not_use_the_word_source(state, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_stream_words called by a scalar draw")
+
+    monkeypatch.setattr(rng_module, "_stream_words", refuse)
+    rng, ref = SplitMix64(state), ScalarSplitMix64(state)
+    for _ in range(100):
+        assert rng.next64() == ref.next64()
         assert rng.uniform() == (ref.next64() >> 11) * 2.0**-53
-    assert rng.next64() == ref.next64()
+        assert rng.below(12) == ref.below(12)
+        assert rng.below(2**40 + 1) == ref.below(2**40 + 1)
