@@ -227,12 +227,8 @@ def _cmd_scan(args):
     trials_for = default_trial_schedule if args.trials is None else (lambda n: args.trials)
     estimates, fit = scan_mu(args.ns, args.seed, trials_for=trials_for, jobs=args.jobs)
     rows = _scan_rows(estimates, args.seed)
-    if args.format == "csv":
-        header = "n,trials,mean,stderr,lo95,hi95,seed"
-        lines = [header] + [
-            f"{r['n']},{r['trials']},{r['mean']!r},{r['stderr']!r},{r['lo95']!r},{r['hi95']!r},{r['seed']}"
-            for r in rows
-        ]
+    if args.format == "csv":  # the header is the row keys; str of a float is its repr
+        lines = [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
         return "\n".join(lines)
     results = {"samples": rows}
     if fit is not None:
@@ -349,11 +345,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         results = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb, exp, expm1, factorial, log, log1p, perm
 from typing import Iterable
 
-from .geometry import GridArrangement, GridPoint, check_grid
+from .geometry import GridArrangement, check_grid
 
 
 class DecodeError(ValueError):
@@ -330,9 +330,7 @@ def unrank_arrangement(index: int | ArrangementIndex, K: int, n: int) -> GridArr
     oversized grid costs no unranking."""
     check_grid(K, n)
     value = index.value if isinstance(index, ArrangementIndex) else index
-    cells = unrank_combination(value, n, K * K)
-    pts = tuple(GridPoint(c % K, c // K) for c in cells)
-    return GridArrangement(K, pts)
+    return GridArrangement.from_cells(K, unrank_combination(value, n, K * K))
 
 
 def baseline_length(K: int, n: int) -> int:

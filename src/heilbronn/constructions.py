@@ -163,11 +163,6 @@ class _Restart:
         self.minimal = len(mins)
         self.cnt = cnt
 
-    def advance(self) -> bool:
-        """Draw and try one move; False, drawing nothing, once the step
-        size has fallen below ``_MIN_STEP``."""
-        return self.run(1) == 1
-
     def run(self, limit: int) -> int:
         """Draw and try up to ``limit`` moves; the number made, fewer than
         ``limit`` only once the step size has fallen below ``_MIN_STEP``."""
@@ -270,8 +265,8 @@ def _run_restart(n: int, seed: int, restart: int, steps: int) -> tuple[float, li
         ys.append(rng.uniform())
     climb = _Restart(xs, ys, rng)
     done = climb.run(steps)
-    # a stop at the step floor counts the call that found it, as a loop of
-    # ``advance()`` calls would
+    # a stop at the step floor also counts the step that found the step
+    # size below ``_MIN_STEP``
     return climb.value, xs, ys, done if done == steps else done + 1
 
 

@@ -39,16 +39,24 @@ def _data_lines(path) -> list[tuple[int, str, str]]:
     return lines
 
 
-def _parse_pointset(path, lines: list[tuple[int, str, str]]) -> PointSet:
-    coords = []
+def _xy_lines(path, lines: list[tuple[int, str, str]], number, kind: str):
+    """(line number, x, y) of each 'x y' data line, in file order, both
+    coordinates converted by ``number``; one that does not convert is a
+    "non-<kind> coordinate"."""
     for lineno, raw, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'x y', got {raw!r}")
         try:
-            x, y = float(parts[0]), float(parts[1])
+            x, y = number(parts[0]), number(parts[1])
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric coordinate in {raw!r}") from None
+            raise FormatError(f"{path}:{lineno}: non-{kind} coordinate in {raw!r}") from None
+        yield lineno, x, y
+
+
+def _parse_pointset(path, lines: list[tuple[int, str, str]]) -> PointSet:
+    coords = []
+    for lineno, x, y in _xy_lines(path, lines, float, "numeric"):
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise FormatError(f"{path}:{lineno}: coordinate outside the unit square")
         coords.append((x, y))
@@ -76,15 +84,7 @@ def _parse_grid(path, lines: list[tuple[int, str, str]]) -> GridArrangement:
         K, n = int(parts[1]), int(parts[2])
     except ValueError:
         raise FormatError(f"{path}:{lineno}: non-integer grid header") from None
-    rows = []
-    for lineno, raw, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'x y', got {raw!r}")
-        try:
-            rows.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-integer coordinate in {raw!r}") from None
+    rows = [(x, y) for _, x, y in _xy_lines(path, lines[1:], int, "integer")]
     if len(rows) != n:
         raise FormatError(f"{path}: header promises {n} pebbles, found {len(rows)}")
     try:

@@ -137,18 +137,21 @@ class GridArrangement:
             if not (0 <= p.x < K and 0 <= p.y < K):
                 raise ValueError(f"pebble {p} outside [0, {K-1}]^2")
             if prev is not None and (p.y, p.x) <= (prev.y, prev.x):
+                if p == prev:
+                    raise ValueError(f"duplicate pebble at ({p.x}, {p.y})")
                 raise ValueError("pebbles must be distinct and sorted row-major")
             prev = p
 
     @classmethod
     def from_points(cls, K: int, pts: Iterable[tuple[int, int]]) -> "GridArrangement":
         """Build from (x, y) pairs in any order; duplicates are rejected."""
-        pts = [GridPoint(x, y) for x, y in pts]
-        pts.sort()
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError(f"duplicate pebble at ({a.x}, {a.y})")
-        return cls(K, tuple(pts))
+        return cls(K, tuple(sorted(GridPoint(x, y) for x, y in pts)))
+
+    @classmethod
+    def from_cells(cls, K: int, cells: Iterable[int]) -> "GridArrangement":
+        """Build from increasing row-major cell ids (y*K + x); the inverse
+        of ``cells``."""
+        return cls(K, tuple(GridPoint(c % K, c // K) for c in cells))
 
     @property
     def n(self) -> int:

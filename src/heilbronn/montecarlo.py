@@ -37,7 +37,6 @@ import numpy as np
 
 from .geometry import (
     GridArrangement,
-    GridPoint,
     PointSet,
     UnitPoint,
     check_grid,
@@ -96,7 +95,7 @@ def sample_grid_arrangement(K: int, n: int, seed: int, stream_id: int) -> GridAr
     """Uniform over all C(K^2, n) arrangements: the cells ``_grid_cells``
     draws from stream (seed, stream_id)."""
     cells = _grid_cells(K, n, seed, stream_id)
-    return GridArrangement(K, tuple(GridPoint(c % K, c // K) for c in cells))
+    return GridArrangement.from_cells(K, cells)
 
 
 @dataclass(frozen=True)

@@ -158,20 +158,18 @@ def _read_combination(reader: BitReader, k: int, m: int, width: int, what: str) 
         raise DecodeError(f"{what} rank out of range at bit {reader.pos}: {exc}") from None
 
 
-def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> list[GridPoint]:
+def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> tuple[GridPoint, ...]:
     cells = _read_combination(reader, n - 1, K * K, _width_sub_rank(K, n), "sub-arrangement")
-    return [GridPoint(c % K, c // K) for c in cells]
+    return GridArrangement.from_cells(K, cells).points
 
 
 def _decoded_arrangement(K: int, pebbles: list[GridPoint]) -> GridArrangement:
     """The arrangement of the decoded pebbles, which the field readers
     keep inside the grid but not always distinct."""
-    pebbles.sort()
-    for p, q in zip(pebbles, pebbles[1:]):
-        if p == q:
-            raise DecodeError(f"decoded points are not a valid arrangement: "
-                              f"duplicate pebble at ({p.x}, {p.y})")
-    return GridArrangement(K, tuple(pebbles))
+    try:
+        return GridArrangement(K, tuple(sorted(pebbles)))
+    except ValueError as exc:
+        raise DecodeError(f"decoded points are not a valid arrangement: {exc}") from None
 
 
 def _line_slots(P: GridPoint, Q: GridPoint, K: int) -> tuple[int, int, int, int, int]:

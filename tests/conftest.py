@@ -17,7 +17,7 @@ def random_arrangement(K: int, n: int, seed: int, stream: int = 0) -> GridArrang
     cells: set[int] = set()
     while len(cells) < n:
         cells.add(rng.below(K * K))
-    return GridArrangement(K, tuple(GridPoint(c % K, c // K) for c in sorted(cells)))
+    return GridArrangement.from_cells(K, sorted(cells))
 
 
 def distinct_row_arrangement(K: int, n: int, seed: int, stream: int = 0) -> GridArrangement:

@@ -106,6 +106,16 @@ class TestScan:
         assert lines[0] == "n,trials,mean,stderr,lo95,hi95,seed"
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "8"
+        # the whole output, byte for byte: floats are written as their repr
+        assert out == (
+            "n,trials,mean,stderr,lo95,hi95,seed\n"
+            "8,60,0.001801689965767125,0.0002907540681030711,0.0012318119922851058,"
+            "0.0023715679392491444,2\n"
+            "12,60,0.0004662919746312728,6.522943651170865e-05,0.00033844227906832384,"
+            "0.0005941416701942218,2\n"
+            "16,60,0.00016531969702983734,2.3683719307088085e-05,0.0001188996071879447,"
+            "0.00021173978687172998,2\n"
+        )
 
     def test_bad_ns_is_usage_error(self, capsys):
         assert run(["scan", "--ns", "8,x", "--seed", "1"]) == 1
@@ -408,6 +418,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: --index must be a decimal integer, got '12x'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--ns", "8,x", "--seed", "1"],  # refused by the parser
+        ["unrank", "--k", "4", "--n", "2", "--index", "12x"],  # refused by the command
+    ], ids=["parse", "command"])
+    def test_usage_error_is_one_stderr_line(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("usage error:") == 1
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--ns", "8", "--seed", "1"],

@@ -153,7 +153,7 @@ def drive(xs, ys, seed, steps):
     reference = rescan_steps(list(xs), list(ys), stream_rng(seed, 0))
     assert_state_is_recount(climb)
     for _ in range(steps):
-        advanced = climb.advance()
+        advanced = climb.run(1) == 1
         want = next(reference, None)
         assert advanced == (want is not None)
         if not advanced:
@@ -197,7 +197,7 @@ class TestIncrementalStep:
         xs, ys = EDGE_STARTS[0]
         climb = _Restart(list(xs), list(ys), stream_rng(3, 0))
         moves = 0
-        while climb.advance():
+        while climb.run(1) == 1:
             moves += 1
         assert climb.step < _MIN_STEP and moves > 0
         assert_state_is_recount(climb)
@@ -233,7 +233,7 @@ class TestWordChunks:
         pts = [rng.uniform() for _ in range(2 * n)]
         stepped = _Restart(pts[0::2], pts[1::2], stream_rng(5, n))
         for _ in range(600):
-            assert stepped.advance()
+            assert stepped.run(1) == 1
         ran = _Restart(pts[0::2], pts[1::2], stream_rng(5, n))
         assert ran.run(600) == 600
         assert len(takes) >= 4  # both restarts refilled past their first chunk

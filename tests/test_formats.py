@@ -165,10 +165,16 @@ class TestFormatErrorsThroughCli:
         (["rank", "--file", "{path}"], "grid 4 x\n", "{path}:1: non-integer grid header"),
         (["rank", "--file", "{path}"], "grid 4 1\n1 2 3\n", "{path}:2: expected 'x y', got '1 2 3'"),
         (["rank", "--file", "{path}"], "grid 4 1\n1 y\n", "{path}:2: non-integer coordinate in '1 y'"),
+        (["rank", "--file", "{path}"], "grid 4 2\n1 1\n1 1\n", "{path}: duplicate pebble at (1, 1)"),
+        (["rank", "--file", "{path}"], "grid 4 1\n4 0\n", "{path}: pebble GridPoint(4, 0) outside [0, 3]^2"),
+        (["rank", "--file", "{path}"], "grid 4 3\n1 1\n2 2\n", "{path}: header promises 3 pebbles, found 2"),
+        (["min-triangle", "--file", "{path}"], "0.1 0.2\n0.1 1.5\n",
+         "{path}:2: coordinate outside the unit square"),
         (WITNESS_DECODE, "HW1 rowline K=4 n=3\n", "{path}: witness file needs a header and a payload line"),
         (WITNESS_DECODE, "HW1 rowline K=4 m=3\n0:\n", "{path}:1: malformed K=/n= fields"),
         (WITNESS_DECODE, "HW1 rowline K=x n=3\n0:\n", "{path}:1: malformed K=/n= fields"),
-    ], ids=["point", "no-data", "header", "row-fields", "coordinate", "one-line", "n-field", "K-value"])
+    ], ids=["point", "no-data", "header", "row-fields", "coordinate", "duplicate", "outside-grid",
+            "short-of-header", "outside-square", "one-line", "n-field", "K-value"])
     def test_exit_2_naming_the_file(self, tmp_path, capsys, argv, text, message):
         path, out = tmp_path / "in.txt", tmp_path / "out.txt"
         path.write_text(text)

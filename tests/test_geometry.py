@@ -249,6 +249,22 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             GridArrangement.from_points(1, [(0, 0)])
 
+    def test_duplicate_and_unsorted_pebbles(self):
+        p = GridPoint(2, 1)
+        with pytest.raises(ValueError, match=r"^duplicate pebble at \(2, 1\)$"):
+            GridArrangement(4, (p, p))
+        with pytest.raises(ValueError, match="^pebbles must be distinct and sorted row-major$"):
+            GridArrangement(4, (GridPoint(1, 1), GridPoint(0, 0)))
+
+    @pytest.mark.parametrize("K, n, seed", [(2, 4, 0), (5, 9, 1), (16, 40, 2), (2**20, 200, 3)])
+    def test_from_cells_inverts_cells(self, K, n, seed):
+        for stream in range(5):
+            drawn = random_arrangement(K, n, seed, stream)
+            # built by sorting points, not from cell ids
+            transposed = GridArrangement.from_points(K, [(p.y, p.x) for p in drawn.points])
+            for a in (drawn, transposed):
+                assert GridArrangement.from_cells(a.K, a.cells()) == a
+
     @pytest.mark.parametrize("K, n", [(1, 0), (2**30 + 1, 1), (2, 5)])
     def test_bad_grid_reports_check_grid_message(self, K, n):
         points = tuple(GridPoint(c % K, c // K) for c in range(n))

@@ -1,6 +1,7 @@
 """The summary of ``tools/record_bench.py`` on fixed input; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
 _spec = importlib.util.spec_from_file_location("record_bench", _PATH)
 record_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_bench)
+
+
+END_TO_END = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def result(op_cost, setup_s=0.3, peak_rss_mb=38.0, ok_rate=1.0, correct=True):
@@ -32,17 +36,42 @@ def test_summarize_pairs_in_seed_order():
         "parent": [result(10.0), result(12.0), result(11.0), result(9.0), result(13.0)],
         "change": [result(4.0), result(5.0, setup_s=0.4), result(4.5), result(9.5), result(3.0)],
     }
-    out = record_bench.summarize(runs)
+    out = record_bench.summarize(runs, END_TO_END)
     assert out["parent"]["op_cost"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
     assert out["change"]["op_cost"] == {"median": 4.5, "q1": 4.0, "q3": 5.0}
     assert out["change"]["setup_s"]["median"] == 0.3
     assert out["change"]["ok_rate"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
-    assert out["op_cost_change_lower"] == "4/5"  # 9.5 > 9.0 in the fourth pair
+    assert out["change_better"] == {
+        "op_cost": "4/5",  # 9.5 > 9.0 in the fourth pair
+        "setup_s": "0/5",  # four ties and one worse pair
+        "peak_rss_mb": "0/5",
+        "ok_rate": "0/5",
+    }
+    assert out["unresolved"] == []  # op_cost: parent IQR 2 <= 0.25 * 11
     assert out["all_correct"]
 
 
 def test_summarize_reports_an_incorrect_run():
     runs = {"parent": [result(1.0), result(1.0)], "change": [result(1.0), result(1.0, correct=False)]}
-    out = record_bench.summarize(runs)
+    out = record_bench.summarize(runs, END_TO_END)
     assert not out["all_correct"]
-    assert out["op_cost_change_lower"] == "0/2"
+    assert out["change_better"]["op_cost"] == "0/2"
+
+
+def test_summarize_counts_in_each_better_direction():
+    runs = {
+        "parent": [result(2.0, peak_rss_mb=40.0, ok_rate=0.5), result(2.0, peak_rss_mb=40.0, ok_rate=1.0)],
+        "change": [result(3.0, peak_rss_mb=39.0, ok_rate=1.0), result(1.0, peak_rss_mb=41.0, ok_rate=1.0)],
+    }
+    out = record_bench.summarize(runs, END_TO_END)
+    assert out["change_better"] == {"op_cost": "1/2", "setup_s": "0/2", "peak_rss_mb": "1/2", "ok_rate": "1/2"}
+
+
+def test_summarize_lists_metrics_the_parent_spread_cannot_resolve():
+    # parent setup_s 0.16..0.33: IQR 0.085 > 0.25 * median 0.245; op_cost
+    # IQR 1.0 = 0.25 * median 4.0 is not wider than the bound
+    setup = [0.16, 0.20, 0.245, 0.285, 0.33]
+    runs = {"parent": [result(v, setup_s=s) for v, s in zip([3.0, 3.5, 4.0, 4.5, 5.0], setup)],
+            "change": [result(4.0) for _ in setup]}
+    out = record_bench.summarize(runs, END_TO_END)
+    assert out["unresolved"] == ["setup_s"]

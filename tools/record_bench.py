@@ -13,9 +13,8 @@ once in each checkout, back to back, alternating which side goes first
 from one pair to the next; T is BENCHMARK.json's ``run_seconds``.  The runs
 are sequential, so the two sides never share the machine.  The file holds
 the machine record of the first run, the code each side ran (see
-``code_id``), the seeds, each run's metrics in seed order and, per workload
-and side, the median and quartiles of ``op_cost``, ``setup_s``,
-``peak_rss_mb`` and ``ok_rate``.
+``code_id``), the seeds, each run's metrics in seed order and, per workload,
+the summary of BENCHMARK.json's end-to-end metrics (see ``summarize``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
-METRICS = ("op_cost", "setup_s", "peak_rss_mb", "ok_rate")
 SIDES = ("parent", "change")
 DEFAULT_SEEDS = tuple(range(801, 811))  # ten pairs, the fewest a gain can rest on
 CODE_DIRS = ("src", "perfbench")  # what perfbench/run.py executes
@@ -44,14 +42,32 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict[str, list[dict]]) -> dict:
-    """Quartiles per side and metric from {side: [result object, ...]},
-    and the number of pairs in which the change's op_cost is lower."""
-    out = {side: {m: quartiles([r["metrics"][m]["value"] for r in runs[side]]) for m in METRICS}
-           for side in SIDES}
-    pairs = list(zip(runs["parent"], runs["change"]))
-    lower = sum(c["metrics"]["op_cost"]["value"] < p["metrics"]["op_cost"]["value"] for p, c in pairs)
-    out["op_cost_change_lower"] = f"{lower}/{len(pairs)}"
+def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
+    """Summary of {side: [result object, ...]}, the runs in seed order, for
+    BENCHMARK.json's ``end_to_end`` metrics:
+
+    * per side and metric, the median and quartiles;
+    * ``change_better``: per metric, "k/N", the number k of the N pairs in
+      which the change reads better in the metric's ``better`` direction
+      (ties count for neither);
+    * ``unresolved``: the metrics whose parent quartile spread is wider
+      than ``bound`` times the parent median, where a move within the
+      bound cannot be told from noise;
+    * ``all_correct``: whether every run checked its outputs correct.
+    """
+    values = {side: {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs[side]]
+                     for m in end_to_end} for side in SIDES}
+    out = {side: {name: quartiles(v) for name, v in values[side].items()} for side in SIDES}
+    out["change_better"] = {}
+    out["unresolved"] = []
+    for m in end_to_end:
+        name, lower = m["name"], m["better"] == "lower"
+        pairs = list(zip(values["parent"][name], values["change"][name]))
+        better = sum(c < p if lower else c > p for p, c in pairs)
+        out["change_better"][name] = f"{better}/{len(pairs)}"
+        parent = out["parent"][name]
+        if parent["q3"] - parent["q1"] > m["bound"] * parent["median"]:
+            out["unresolved"].append(name)
     out["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
     return out
 
@@ -101,6 +117,7 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    metrics = [m["name"] for m in spec["end_to_end"]]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     record = {"machine": None, "code": {side: code_id(roots[side]) for side in SIDES},
               "seeds": args.seeds, "seconds": seconds, "workloads": {}}
@@ -117,8 +134,8 @@ def main(argv=None) -> int:
                       f" correct {result['correct']}", file=sys.stderr)
             pair += 1
         record["workloads"][workload] = {
-            "summary": summarize(runs),
-            "runs": {side: [{m: r["metrics"][m]["value"] for m in METRICS} | {"correct": r["correct"]}
+            "summary": summarize(runs, spec["end_to_end"]),
+            "runs": {side: [{m: r["metrics"][m]["value"] for m in metrics} | {"correct": r["correct"]}
                             for r in runs[side]] for side in SIDES},
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
