@@ -59,9 +59,6 @@ class BitString:
     def __getitem__(self, idx) -> "BitString":
         return BitString(self.bits[idx])
 
-    def __iter__(self):
-        return iter(self.bits)
-
     def to_int(self) -> int:
         """Value of the bits as a big-endian unsigned integer (empty -> 0)."""
         return int(self.bits, 2) if self.bits else 0

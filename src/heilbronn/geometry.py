@@ -19,7 +19,7 @@ There are three triple scans, all exact and all returning the same bits:
 * ``_window_scan``, which evaluates only the triples an angular window
   and a computed bound cannot rule out.  ``min_area_triangle(mode="fast")``
   uses it for every set, and ``min_twice_area_rows`` row by row from
-  ``_WINDOW_MIN_N`` points on (the measured break-even is near n = 56).
+  ``_WINDOW_MIN_N`` points on (the measured break-even is near n = 58).
 
 The windowed scan returns the minimum of the same computed values.  For a
 pivot i, let d_j = p_j - p_i (j > i) be the differences ``_pivot_scan``
@@ -41,8 +41,10 @@ computes, r_j = |d_j|, and the value of a pair (j, k) the computed
   v <= U has |sin(angle)| <= v / ((1 - u) r_j r_k) + u.  Two long vectors
   have r_j r_k > U * n, so |sin(angle)| < 1/n + gamma with gamma = 3u.
   pad = 1e-9 covers the rounding of the computed directions, of arcsin
-  and of the sort keys (direction + 8 * row, rows local to a chunk of
-  at most 2^12 pivots, so a key stays below 2^15 and rounds by < 1e-11).
+  and of the sort keys: direction + 8 * row, rows local to a chunk of
+  min(max(1, B // w), w - 1) <= sqrt(B) pivots for B = ``_BLOCK_ELEMENTS``
+  and w points after the chunk's first pivot (at most 127 at B = 2^14),
+  so a key stays below 2^10 and rounds by less than 2^-43.
   Int64 grid coordinates make every value exact.
 * **The rounding model** needs each product to be normal: float
   coordinates with nonzero magnitudes in [2^-347, 2^399], or int64 ones
@@ -75,9 +77,10 @@ MAX_GRID_SIDE = 1 << 30  # guarantees twice-areas fit in int64 intermediates
 #: default tolerance on |twice signed area| for continuous collinearity
 EPS_COLLINEAR = 1e-15
 
-#: elements per array of one pivot chunk of ``_window_scan``, and per slice
-#: of its candidate pairs
-_BLOCK_ELEMENTS = 1 << 13
+#: elements per temporary array of a batched pass: a pivot chunk of
+#: ``_window_scan``, a slice of its candidate pairs, and a block of Monte
+#: Carlo trials (``montecarlo._block_trials``)
+_BLOCK_ELEMENTS = 1 << 14
 #: the rounding term of the window: 3 units of float64 roundoff, 3 * 2^-53
 _GAMMA = 3 * 2.0**-53
 #: angular slack for the rounding of the directions, arcsin and the sort keys

@@ -36,6 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    _BLOCK_ELEMENTS,
     GridArrangement,
     PointSet,
     UnitPoint,
@@ -44,10 +45,6 @@ from .geometry import (
     min_twice_area_rows,
 )
 from .rng import derive_seed, stream_rng, uniform_block, word_block
-
-#: elements per array of one block of trials: the pair gather of pivot 0,
-#: C(n-1, 2) per trial, or the 2n uniforms of a trial, whichever is larger
-_BLOCK_ELEMENTS = 1 << 14
 
 
 def default_trial_schedule(n: int) -> int:
@@ -157,7 +154,9 @@ class PointSetReport:
 
 
 def _block_trials(n: int) -> int:
-    """Trials per block at n points (n >= 3)."""
+    """Trials per block at n points (n >= 3): the pair gather of pivot 0,
+    C(n-1, 2) per trial, or the 2n uniforms of a trial, whichever is
+    larger, fills about ``_BLOCK_ELEMENTS`` elements."""
     return max(1, _BLOCK_ELEMENTS // max(comb(n - 1, 2), 2 * n))
 
 
@@ -186,10 +185,8 @@ def _trial_areas(n: int, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
 
     bounds = [trials * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_areas_chunk, n, seed, bounds[w], bounds[w + 1]) for w in range(workers)
-        ]
-        return np.concatenate([fut.result() for fut in futures])  # chunk order == trial order
+        chunks = pool.map(_areas_chunk, [n] * workers, [seed] * workers, bounds[:-1], bounds[1:])
+        return np.concatenate(list(chunks))  # map keeps chunk order, which is trial order
 
 
 def estimate_mu(n: int, trials: int, seed: int, jobs: int = 1) -> MuEstimate:

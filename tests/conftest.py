@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from concurrent.futures import Future
 
 import pytest
 
@@ -104,11 +103,6 @@ class _InlineExecutor:
 
     def __exit__(self, *exc):
         return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)

@@ -48,6 +48,7 @@ def test_summarize_pairs_in_seed_order():
         "ok_rate": "0/5",
     }
     assert out["unresolved"] == []  # op_cost: parent IQR 2 <= 0.25 * 11
+    assert out["regressed"] == []
     assert out["all_correct"]
 
 
@@ -75,3 +76,21 @@ def test_summarize_lists_metrics_the_parent_spread_cannot_resolve():
             "change": [result(4.0) for _ in setup]}
     out = record_bench.summarize(runs, END_TO_END)
     assert out["unresolved"] == ["setup_s"]
+
+
+@pytest.mark.parametrize("change_cost, regressed", [(12.4, []), (12.6, ["op_cost"]), (7.0, [])])
+def test_summarize_flags_a_median_worse_than_the_bound_lower(change_cost, regressed):
+    # op_cost is better lower, bound 0.25: worse than the parent median 10
+    # by more than 2.5 rejects; a faster change never does
+    runs = {"parent": [result(9.0), result(10.0), result(11.0)],
+            "change": [result(change_cost - 1), result(change_cost), result(change_cost + 1)]}
+    assert record_bench.summarize(runs, END_TO_END)["regressed"] == regressed
+
+
+@pytest.mark.parametrize("change_ok, regressed", [(0.995, []), (0.985, ["ok_rate"]), (1.0, [])])
+def test_summarize_flags_a_median_worse_than_the_bound_higher(change_ok, regressed):
+    # ok_rate is better higher, bound 0.01: below the parent median 1.0 by
+    # more than 0.01 rejects
+    runs = {"parent": [result(1.0) for _ in range(3)],
+            "change": [result(1.0, ok_rate=change_ok) for _ in range(3)]}
+    assert record_bench.summarize(runs, END_TO_END)["regressed"] == regressed

@@ -9,6 +9,7 @@ pairs) is far above the minimum, minima in the last pivot chunk, ties
 across chunks, and a whole set on one line.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 
 from heilbronn import geometry
 from heilbronn.geometry import (
-    _BLOCK_ELEMENTS,
     _WINDOW_MIN_N,
     _pivot_first_min,
     _pivot_scan,
@@ -42,12 +42,18 @@ def _uniform(n, seed):
     return u[0::2].copy(), u[1::2].copy()
 
 
+def _chunk_rows(w):
+    """Pivots of the chunk whose first pivot has w points after it, as
+    ``_window_scan`` cuts them."""
+    return min(max(1, geometry._BLOCK_ELEMENTS // w), w - 1)
+
+
 def _chunk_starts(n):
-    """First pivot of each chunk, as ``_window_scan`` cuts them."""
+    """First pivot of each chunk."""
     starts, a = [], 0
     while a < n - 2:
         starts.append(a)
-        a += min(max(1, _BLOCK_ELEMENTS // (n - 1 - a)), n - 2 - a)
+        a += _chunk_rows(n - 1 - a)
     return starts
 
 
@@ -108,17 +114,30 @@ def test_minimum_in_the_last_chunk():
     assert len(_chunk_starts(n)) > 2 and i >= _chunk_starts(n)[-1]
 
 
-def test_tie_across_chunks_keeps_the_first():
-    # two planted grid triangles of twice-area exactly 1, one in the first
-    # pivot chunk and one in the last: the first in lexicographic order wins
-    n, K = 500, 1 << 20
+def _planted_tie(n):
+    """Two planted grid triangles of twice-area exactly 1, at pivots 2 and
+    n - 3, among n random pebbles of the 2^20 grid."""
+    K = 1 << 20
     rng = np.random.default_rng(7)
     cells = np.sort(rng.choice(K * K, n, replace=False))
     xs, ys = cells % K, cells // K
     for i in (2, n - 3):
         xs[i + 1], ys[i + 1] = xs[i] + 1, ys[i]
         xs[i + 2], ys[i + 2] = xs[i] + 3, ys[i] + 1
-    i, j, k, t = _same(xs, ys)
+    return xs, ys
+
+
+def _grid(K, n):
+    rng = np.random.default_rng(K)
+    cells = np.sort(rng.choice(K * K, n, replace=False))
+    return cells % K, cells // K
+
+
+def test_tie_across_chunks_keeps_the_first():
+    # one planted triangle in the first pivot chunk and one in the last:
+    # the first in lexicographic order wins
+    n = 500
+    i, j, k, t = _same(*_planted_tie(n))
     assert (i, j, k, t) == (2, 3, 4, 1)
     assert _chunk_starts(n)[-1] <= n - 3
 
@@ -126,10 +145,27 @@ def test_tie_across_chunks_keeps_the_first():
 @pytest.mark.parametrize("K", [23, 30, 64, 1 << 30])
 def test_grids(K):
     # dense grids (many zero-area ties, U = 0) up to the largest side
-    n = min(K * K - 10, 400)
-    rng = np.random.default_rng(K)
-    cells = np.sort(rng.choice(K * K, n, replace=False))
-    _same(cells % K, cells // K)
+    _same(*_grid(K, min(K * K - 10, 400)))
+
+
+@pytest.mark.parametrize("elements", [1, 7, 999, 1 << 14])
+def test_block_size_moves_no_bit(monkeypatch, elements):
+    # chunks and slices never enter a result: one pivot per chunk and one
+    # run per slice at 1 element, the default block at 2^14
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+    _same(*_uniform(300, 11))
+    assert _same(*_planted_tie(500)) == (2, 3, 4, 1)
+    _same(*_grid(30, 400))
+
+
+def test_the_largest_chunk_keeps_sort_keys_inside_the_pad():
+    # the proof's pad covers the rounding of a sort key, direction + 8 * row,
+    # while every key of the largest chunk stays below a power of two whose
+    # half-ulp is far under _PAD; past B + 1 points a chunk is one pivot
+    rows = max(_chunk_rows(w) for w in range(2, geometry._BLOCK_ELEMENTS + 2))
+    key = 8 * (rows - 1) + math.pi / 2
+    top = 2.0 ** math.frexp(key)[1]
+    assert key < top and math.ulp(top) / 2 < geometry._PAD / 1000
 
 
 @pytest.mark.parametrize(
@@ -150,9 +186,9 @@ def test_points_on_one_line(line):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert got[:3] == _pivot_first_min(xs, ys)[:3] and got[3] == 0
-    # 24 arrays of one block of 8-byte elements: 1.5 MB; the cubic scan
-    # peaks at 1.4-2.0 MB on these sets
-    assert peak < 24 * 8 * _BLOCK_ELEMENTS
+    # 24 arrays of one block of 8-byte elements: 3.1 MB; the window scan
+    # peaks at 1.6-1.9 MB on these sets, the cubic scan at 1.4 MB
+    assert peak < 24 * 8 * geometry._BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize(

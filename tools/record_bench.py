@@ -53,6 +53,9 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     * ``unresolved``: the metrics whose parent quartile spread is wider
       than ``bound`` times the parent median, where a move within the
       bound cannot be told from noise;
+    * ``regressed``: the metrics whose change median is worse than the
+      parent median, in the ``better`` direction, by more than ``bound``
+      times the parent median, the rule that rejects a change;
     * ``all_correct``: whether every run checked its outputs correct.
     """
     values = {side: {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs[side]]
@@ -60,14 +63,18 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     out = {side: {name: quartiles(v) for name, v in values[side].items()} for side in SIDES}
     out["change_better"] = {}
     out["unresolved"] = []
+    out["regressed"] = []
     for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
         pairs = list(zip(values["parent"][name], values["change"][name]))
         better = sum(c < p if lower else c > p for p, c in pairs)
         out["change_better"][name] = f"{better}/{len(pairs)}"
-        parent = out["parent"][name]
+        parent, change = out["parent"][name], out["change"][name]["median"]
         if parent["q3"] - parent["q1"] > m["bound"] * parent["median"]:
             out["unresolved"].append(name)
+        worse = change - parent["median"] if lower else parent["median"] - change
+        if worse > m["bound"] * parent["median"]:
+            out["regressed"].append(name)
     out["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
     return out
 
