@@ -43,7 +43,7 @@ print(f"bottom pebble row {row}: {len(w.intercepts)} intercepts")
 if w.D is not None:
     print(f"tightest six-intercept window: D = {float(w.D):.4f}, "
           f"B = min(4A, D) = {float(w.B):.3e}")
-excl = excluded_columns(row, f, t_min, K)
+excl = excluded_columns(row, f, t_min)
 print(f"excluded columns on that row: {len(excl)} of {K}")
 
 rep = encode_theorem2(a)

@@ -138,20 +138,16 @@ def find_shared_row_pair(a: GridArrangement) -> Optional[tuple[int, int]]:
 # shared codec helpers
 
 
-def _width_sub_rank(K: int, n: int) -> int:
-    return ceil_log2(comb(K * K, n - 1))
-
-
-def _combination_bits(cells: Sequence[int], m: int, width: int) -> BitString:
+def _combination_bits(cells: Sequence[int], m: int) -> BitString:
     """A ranked-combination field: the strictly increasing ``cells`` of
-    range(m) as their rank, in ``width`` bits."""
-    return BitString.from_int(rank_combination(cells, m), width)
+    range(m) as their rank, in ceil(log2 C(m, k)) bits for k cells."""
+    return BitString.from_int(rank_combination(cells, m), ceil_log2(comb(m, len(cells))))
 
 
-def _read_combination(reader: BitReader, k: int, m: int, width: int, what: str) -> tuple[int, ...]:
+def _read_combination(reader: BitReader, k: int, m: int, what: str) -> tuple[int, ...]:
     """Read a ``_combination_bits`` field of k cells of range(m); ``what``
     names the field when the rank is C(m, k) or more."""
-    rank = reader.read_uint(width)
+    rank = reader.read_uint(ceil_log2(comb(m, k)))
     try:
         return unrank_combination(rank, k, m)
     except ValueError as exc:
@@ -159,7 +155,7 @@ def _read_combination(reader: BitReader, k: int, m: int, width: int, what: str) 
 
 
 def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> tuple[GridPoint, ...]:
-    cells = _read_combination(reader, n - 1, K * K, _width_sub_rank(K, n), "sub-arrangement")
+    cells = _read_combination(reader, n - 1, K * K, "sub-arrangement")
     return GridArrangement.from_cells(K, cells).points
 
 
@@ -215,9 +211,9 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
     pts = a.points
     P, Q, R = pts[i], pts[j], pts[k]
 
-    cells, m = a.cells(), a.n - 1
-    sub_bits = _combination_bits(cells[:k] + cells[k + 1 :], a.K * a.K, _width_sub_rank(a.K, a.n))
-    pair_bits = _combination_bits((i, j), m, ceil_log2(comb(m, 2)))
+    cells = a.cells()
+    sub_bits = _combination_bits(cells[:k] + cells[k + 1 :], a.K * a.K)
+    pair_bits = _combination_bits((i, j), a.n - 1)
 
     # R's slot on the line, not counting the slots of P and Q below it
     dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, a.K)
@@ -231,7 +227,7 @@ def encode_collinear_witness(a: GridArrangement) -> WitnessReport:
 
 def _decode_collinear(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     sub = _read_sub_arrangement(reader, K, n)
-    i, j = _read_combination(reader, 2, n - 1, ceil_log2(comb(n - 1, 2)), "pair")
+    i, j = _read_combination(reader, 2, n - 1, "pair")
     P, Q = sub[i], sub[j]
     dx, dy, t_lo, t_hi, t_Q = _line_slots(P, Q, K)
     if t_hi - t_lo == 1:
@@ -261,7 +257,7 @@ def encode_rowline_witness(a: GridArrangement) -> WitnessReport:
     P, R = pts[i], pts[j]
 
     cells = a.cells()
-    sub_bits = _combination_bits(cells[:j] + cells[j + 1 :], a.K * a.K, _width_sub_rank(a.K, a.n))
+    sub_bits = _combination_bits(cells[:j] + cells[j + 1 :], a.K * a.K)
     p_bits = BitString.from_int(i, ceil_log2(a.n - 1))
 
     pos = R.x if R.x < P.x else R.x - 1
@@ -392,11 +388,11 @@ def encode_small_triangle_witness(
     r_idx, p_idx, q_idx = _relabel_longest(pts, (i, j, k))
     index = _triangle_candidate_index(pts[p_idx], pts[q_idx], pts[r_idx])  # raises if degenerate
 
-    cells, m = a.cells(), a.n - 1
-    sub_bits = _combination_bits(cells[:r_idx] + cells[r_idx + 1 :], a.K * a.K, _width_sub_rank(a.K, a.n))
+    cells = a.cells()
+    sub_bits = _combination_bits(cells[:r_idx] + cells[r_idx + 1 :], a.K * a.K)
     # indices of P and Q inside the sub-arrangement (R removed); p_idx < q_idx
     pair = (p_idx - (p_idx > r_idx), q_idx - (q_idx > r_idx))
-    pair_bits = _combination_bits(pair, m, ceil_log2(comb(m, 2)))
+    pair_bits = _combination_bits(pair, a.n - 1)
     idx_bits = sd_prime(nat_to_string(index))
 
     payload = sub_bits + pair_bits + idx_bits
@@ -405,7 +401,7 @@ def encode_small_triangle_witness(
 
 def _decode_small_triangle(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     sub = _read_sub_arrangement(reader, K, n)
-    pi, qi = _read_combination(reader, 2, n - 1, ceil_log2(comb(n - 1, 2)), "pair")
+    pi, qi = _read_combination(reader, 2, n - 1, "pair")
     P, Q = sub[pi], sub[qi]
     index = string_to_nat(sd_unprime(reader))
     R = _triangle_candidate_point(P, Q, index)
@@ -458,10 +454,9 @@ def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
     split = split_row(a)
     f = _claim_rect_pairs([(idx, p) for idx, p in enumerate(a.points) if p.y > split], a.K, split)
     S = a.K - 1
-    for seg in f.segments:
+    for c0, d, den in map(_line_form, f.segments):
         for row in (0, split):
-            num, den = _intercept(seg, row)
-            if not 0 <= num <= S * den:
+            if not 0 <= c0 + row * d <= S * den:
                 raise AssertionError("rectangle pair line failed the crossing check")
     return f
 
@@ -477,27 +472,27 @@ def count_forbidding_lines(a: GridArrangement) -> int:
     if m < 2:
         return 0
     arr = np.array(up, dtype=np.int64)
-    # rows ascend strictly, so with the later pebble first dy > 0, as in _intercept
+    # rows ascend strictly, so with the later pebble first den > 0: the
+    # _line_form of each pair, |values| < 2^61 for K <= MAX_GRID_SIDE
     ii, jj = np.triu_indices(m, 1)
     x1, y1 = arr[jj, 0], arr[jj, 1]
     x2, y2 = arr[ii, 0], arr[ii, 1]
-    dy = y1 - y2
+    c0, d, den = x2 * y1 - x1 * y2, x1 - x2, y1 - y2
     S = a.K - 1
 
     def crosses(row: int) -> np.ndarray:
-        num = x2 * dy + (row - y2) * (x1 - x2)
-        return (num >= 0) & (num <= S * dy)
+        num = c0 + row * d
+        return (num >= 0) & (num <= S * den)
 
     return int(np.count_nonzero(crosses(0) & crosses(split)))
 
 
-def _intercept(seg: tuple[tuple[int, int], tuple[int, int]], row: int) -> tuple[int, int]:
-    """Column (exact, in column units) where a segment's line meets grid
-    row ``row``, as the quotient num/den with den > 0.  Requires a
-    non-horizontal segment."""
+def _line_form(seg: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, int, int]:
+    """(c0, d, den), den > 0: a segment's line meets grid row y at column
+    (c0 + y d) / den, exactly.  Requires a non-horizontal segment."""
     (x1, y1), (x2, y2) = seg
-    num, den = x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2
-    return (-num, -den) if den < 0 else (num, den)
+    c0, d, den = x2 * y1 - x1 * y2, x1 - x2, y1 - y2
+    return (-c0, -d, -den) if den < 0 else (c0, d, den)
 
 
 def intercept_spacings(
@@ -514,8 +509,7 @@ def intercept_spacings(
     if not f.segments:
         raise ValueError("forbidding line set is empty")
     S = f.K - 1
-    quotients = (_intercept(seg, row) for seg in f.segments)
-    xs = sorted(Fraction(num, den * S) for num, den in quotients)
+    xs = sorted(Fraction(c0 + row * d, den * S) for c0, d, den in map(_line_form, f.segments))
     spacings = tuple(b - a for a, b in zip(xs, xs[1:]))
     window = None
     D = None
@@ -529,16 +523,14 @@ def intercept_spacings(
     return InterceptWindow(row, tuple(xs), spacings, window, D, B)
 
 
-def _exclusion_runs(
-    rows: Sequence[int], f: ForbiddingLineSet, T_min: int, K: int
-) -> Iterator[list[tuple[int, int]]]:
+def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> Iterator[list[tuple[int, int]]]:
     """The excluded columns of each of ``rows`` in turn, as sorted, disjoint,
     non-adjacent inclusive intervals [lo, hi], so the cost grows with the
     number of lines, not with K.
 
-    A line with intercept num / den (den > 0) excludes the columns from
-    floor((num S - T_min den) / (den S)) + 1 to
-    ceil((num S + T_min den) / (den S)) - 1, S = K - 1, clipped to [0, S].
+    A line meeting the row at num / den, num = c0 + row d (``_line_form``),
+    excludes the columns from floor((num S - T_min den) / (den S)) + 1 to
+    ceil((num S + T_min den) / (den S)) - 1, S = f.K - 1, clipped to [0, S].
     With num = a den + b and T_min = t1 S + t0, both b S and t0 den lie in
     [0, den S), so these are a - t1 + 1 - [b S < t0 den] and
     a + t1 - 1 + [z > 0] + [z > den S], z = b S + t0 den: one small
@@ -546,13 +538,9 @@ def _exclusion_runs(
     """
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
-    S = K - 1
+    S = f.K - 1
     t1, t0 = divmod(T_min, S)
-    lines = []
-    for seg in f.segments:
-        c0, den = _intercept(seg, 0)  # the intercept num is c0 + row d
-        d = _intercept(seg, 1)[0] - c0
-        lines.append((c0, d, den, t0 * den, den * S))
+    lines = [(c0, d, den, t0 * den, den * S) for c0, d, den in map(_line_form, f.segments)]
     for row in rows:
         spans = []
         for c0, d, den, t0den, q in lines:
@@ -573,19 +561,20 @@ def _exclusion_runs(
         yield merged
 
 
-def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int, K: int) -> set[int]:
+def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int) -> set[int]:
     """Grid columns of ``row`` strictly within distance 2A of any stored
-    line's intercept, where A = T_min / (2(K-1)^2).  Exact integers."""
-    return {c for lo, hi in next(_exclusion_runs((row,), f, T_min, K)) for c in range(lo, hi + 1)}
+    line's intercept, where A = T_min / (2(K-1)^2), K = f.K.  Exact integers."""
+    return {c for lo, hi in next(_exclusion_runs((row,), f, T_min)) for c in range(lo, hi + 1)}
 
 
 # ---------------------------------------------------------------------------
 # theorem-2 witness (constrained lower half)
 
 
-def _theorem2_widths(K: int, n: int) -> tuple[int, int, int]:
-    header_w = 2 * ceil_log2(K - 1) + 1  # fits any twice-area up to (K-1)^2
-    return header_w, ceil_log2(comb(K, n)), ceil_log2(K)
+def _theorem2_widths(K: int) -> tuple[int, int]:
+    """The header width, which fits any twice-area up to (K-1)^2, and the
+    width of one raw column."""
+    return 2 * ceil_log2(K - 1) + 1, ceil_log2(K)
 
 
 def encode_theorem2(a: GridArrangement) -> WitnessReport:
@@ -601,12 +590,12 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
         raise ValueError("theorem-2 witness requires an even number (>= 2) of pebbles")
     split = split_row(a)  # requires distinct rows
     K = a.K
-    header_w, rows_w, col_w = _theorem2_widths(K, n)
+    header_w, col_w = _theorem2_widths(K)
 
     T_min = int(min_area_triangle(a, mode="fast").twice_area) if n >= 3 else 0
     header = BitString.from_int(T_min, header_w)
 
-    rows_bits = _combination_bits(a.rows(), K, rows_w)  # distinct rows, ascending
+    rows_bits = _combination_bits(a.rows(), K)  # distinct rows, ascending
 
     by_row_desc = sorted(a.points, key=lambda p: -p.y)
     upper = by_row_desc[: n // 2]
@@ -620,7 +609,7 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
     flines = _claim_rect_pairs(list(enumerate(upper)), K, split)
 
     codes = []
-    for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], flines, T_min, K)):
+    for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], flines, T_min)):
         rank = p.x
         for lo, hi in spans:
             if lo > p.x:
@@ -641,11 +630,11 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
 def _decode_theorem2(reader: BitReader, K: int, n: int) -> list[GridPoint]:
     if n % 2 or n < 2:
         raise DecodeError("theorem-2 witness requires an even number (>= 2) of pebbles")
-    header_w, rows_w, col_w = _theorem2_widths(K, n)
+    header_w, col_w = _theorem2_widths(K)
     T_min = reader.read_uint(header_w)
     if T_min > (K - 1) ** 2:  # no grid triangle has a larger twice-area
         raise DecodeError(f"twice-area header {T_min} exceeds the grid maximum")
-    rows_desc = _read_combination(reader, n, K, rows_w, "row-set")[::-1]
+    rows_desc = _read_combination(reader, n, K, "row-set")[::-1]
 
     upper = []
     for r in rows_desc[: n // 2]:
@@ -659,7 +648,7 @@ def _decode_theorem2(reader: BitReader, K: int, n: int) -> list[GridPoint]:
 
     pts = list(upper)
     lower_rows = rows_desc[n // 2 :]
-    for r, spans in zip(lower_rows, _exclusion_runs(lower_rows, flines, T_min, K)):
+    for r, spans in zip(lower_rows, _exclusion_runs(lower_rows, flines, T_min)):
         rank = string_to_nat(sd_unprime(reader))
         allowed = K - sum(hi - lo + 1 for lo, hi in spans)
         if rank >= allowed:
@@ -694,7 +683,8 @@ def _min_payload_bits(kind: str, K: int, n: int) -> int:
     and the upper-half columns; for the other kinds the sub-arrangement rank,
     as C(m, k) >= (m/k)^k for m = K^2 and k = min(n-1, m-n+1)."""
     if kind == "theorem2":
-        return 2 * ceil_log2(K - 1) + 1 + min(n, K - n) + (n // 2) * ceil_log2(K)
+        header_w, col_w = _theorem2_widths(K)
+        return header_w + min(n, K - n) + (n // 2) * col_w
     m = K * K
     k = min(n - 1, m - n + 1)
     return k * ((m // k).bit_length() - 1)

@@ -224,7 +224,7 @@ class TestCriterion9Theorem2Machinery:
             f = forbidding_lines(a)
             t_min = int(min_area_triangle(a, mode="fast").twice_area)
             for p in a.points:
-                if p.y <= f.split_row and p.x in excluded_columns(p.y, f, t_min, K20):
+                if p.y <= f.split_row and p.x in excluded_columns(p.y, f, t_min):
                     exclusion_violations += 1
             rep = encode_theorem2(a)
             if decode_witness("theorem2", rep.payload, K20, n) == a:

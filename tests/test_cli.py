@@ -276,6 +276,21 @@ class TestWitnessCommands:
         save_grid(a, grid_path)
         assert run(["witness", "collinear", "encode", "--file", str(grid_path)]) == 2
 
+    @pytest.mark.parametrize("triple, message", [
+        (None, "minimum-area triple is degenerate; no triangle witness"),
+        ("0,2,1", "invalid index triple (0, 2, 1)"),
+        ("0,1,9", "invalid index triple (0, 1, 9)"),
+    ])
+    def test_small_triangle_encode_refusal_is_data_error(self, capsys, tmp_path, triple, message):
+        # (0, 0), (1, 1) and (2, 2) are collinear: the minimum triple is degenerate
+        grid_path = tmp_path / "g.txt"
+        save_grid(GridArrangement.from_points(4, [(0, 0), (1, 1), (2, 2), (3, 0)]), grid_path)
+        argv = ["witness", "small_triangle", "encode", "--file", str(grid_path)]
+        assert run(argv + ([] if triple is None else ["--triple", triple])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_decode_without_out_is_usage_error_before_decoding(self, capsys, tmp_path, monkeypatch):
         # a 3-bit rowline payload is malformed, but the missing --out is
         # reported first and nothing is decoded

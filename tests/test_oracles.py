@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, perm
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from heilbronn.geometry import GridArrangement, GridPoint
 from heilbronn.rng import stream_rng
 from heilbronn.witnesses import (
     ForbiddingLineSet,
-    _intercept,
+    _line_form,
     _triangle_candidate_index,
     _triangle_candidate_point,
     decode_witness,
@@ -173,14 +174,14 @@ class TestExcludedColumnsOracle:
             f = ForbiddingLineSet(K, 32, ((0, 1), (2, 3)), tuple(segs), 1, 2)
             row = rng.below(32)
             for T_min in (0, 1 + rng.below(120)):
-                got = excluded_columns(row, f, T_min, K)
+                got = excluded_columns(row, f, T_min)
                 # oracle: test every column against every line's exact intercept
                 radius = Fraction(T_min, K - 1)
                 want = set()
                 for (x1, y1), (x2, y2) in segs:
                     xi = Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2)
-                    num, den = _intercept(((x1, y1), (x2, y2)), row)
-                    assert den > 0 and Fraction(num, den) == xi
+                    c0, d, den = _line_form(((x1, y1), (x2, y2)))
+                    assert den > 0 and Fraction(c0 + row * d, den) == xi
                     for c in range(K):
                         if abs(c - xi) < radius:
                             want.add(c)
@@ -206,6 +207,19 @@ def rank_by_prefixes(cells, m):
         rank += comb(m - prev - 1, rem) - comb(m - c, rem)
         prev = c
     return rank
+
+
+def unrank_by_comb_walk(rank, k, m):
+    """The greedy walk on binomials: with u = C(m, k) - 1 - rank, each
+    element is m - 1 - x for the largest x with C(x, r) <= u, r = k, ..., 1."""
+    u, x, out = comb(m, k) - 1 - rank, m, []
+    for r in range(k, 0, -1):
+        x -= 1
+        while comb(x, r) > u:
+            x -= 1
+        u -= comb(x, r)
+        out.append(m - 1 - x)
+    return tuple(out)
 
 
 def unrank_by_bisection(rank, k, m):
@@ -282,6 +296,26 @@ class TestCombinationRankOracle:
             cells = unrank_combination(rank, k, m)
             assert len(calls) <= 1 + 2 * k
             assert cells == unrank_by_bisection(rank, k, m)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_perm_floor_bisections_match_the_comb_walk(self, monkeypatch, steps):
+        # with at most one ratio step, _perm_floor ends in its bisections:
+        # below the estimate with 0 steps, above it with 1
+        monkeypatch.setattr(coding, "_STEPS", steps)
+        rng = Random(1107 + steps)
+        for _ in range(100):
+            m = rng.randrange(1, 2001)
+            k = rng.randrange(min(m, 40) + 1)
+            total = comb(m, k)
+            for rank in {0, total - 1, rng.randrange(total), rng.randrange(total)}:
+                cells = unrank_combination(rank, k, m)
+                assert cells == unrank_by_comb_walk(rank, k, m)
+                assert rank_combination(cells, m) == rank
+        for _ in range(100):
+            m = rng.randrange(1, 1 << 60) + 1
+            k = rng.randrange(1, 41)
+            rank = rng.randrange(comb(m, k))
+            assert rank_combination(unrank_combination(rank, k, m), m) == rank
 
     def test_errors_unchanged(self):
         with pytest.raises(ValueError, match=r"rank 6 out of range for C\(4, 2\)"):

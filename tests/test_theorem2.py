@@ -16,7 +16,7 @@ from heilbronn.witnesses import (
     _LOG2_E,
     count_forbidding_lines,
     _exclusion_runs,
-    _intercept,
+    _line_form,
     _theorem2_widths,
     decode_witness,
     encode_theorem2,
@@ -108,8 +108,8 @@ class TestForbiddingLines:
         S = a.K - 1
 
         def inside(seg, row):
-            num, den = _intercept(seg, row)
-            return 0 <= num <= S * den
+            c0, d, den = _line_form(seg)
+            return 0 <= c0 + row * d <= S * den
 
         return sum(inside(seg, 0) and inside(seg, split) for seg in combinations(up, 2))
 
@@ -225,21 +225,21 @@ class TestExcludedColumns:
         K = 101
         f = self.make_vertical_fls(K, 50)
         # radius T/(K-1) < 1 column: only the hit column is excluded
-        assert excluded_columns(10, f, 1, K) == {50}
+        assert excluded_columns(10, f, 1) == {50}
 
     def test_five_columns(self):
         # intercept at x=0.5 (column 50 of S=100) with 2A = 2.5/(K-1)
         K = 101
         f = self.make_vertical_fls(K, 50)
-        assert excluded_columns(10, f, 250, K) == {48, 49, 50, 51, 52}
+        assert excluded_columns(10, f, 250) == {48, 49, 50, 51, 52}
 
     def test_zero_lines_empty(self):
         f = ForbiddingLineSet(101, 30, (), (), 0, 0)
-        assert excluded_columns(10, f, 1000, 101) == set()
+        assert excluded_columns(10, f, 1000) == set()
 
     def test_zero_tmin_empty(self):
         f = self.make_vertical_fls(101, 50)
-        assert excluded_columns(10, f, 0, 101) == set()
+        assert excluded_columns(10, f, 0) == set()
 
     def test_exclusion_validity_random(self):
         # with the true minimum twice-area, no lower pebble sits in its own
@@ -250,7 +250,7 @@ class TestExcludedColumns:
             t_min = int(min_area_triangle(a, mode="fast").twice_area)
             for p in a.points:
                 if p.y <= f.split_row:
-                    assert p.x not in excluded_columns(p.y, f, t_min, 1024)
+                    assert p.x not in excluded_columns(p.y, f, t_min)
 
 
 class TestTheorem2Codec:
@@ -331,9 +331,10 @@ class TestUpperBoundFormula:
             upper_bound_formula(1, 10, slack=-1)
 
 
-def _excluded_set_oracle(row, f, T_min, K):
+def _excluded_set_oracle(row, f, T_min):
     """Every column strictly within T_min / (K - 1) columns of a stored
     line's exact intercept, tested one column at a time."""
+    K = f.K
     radius = Fraction(T_min, K - 1)
     out = set()
     for (x1, y1), (x2, y2) in f.segments:
@@ -357,17 +358,17 @@ class TestExclusionIntervals:
                 f = ForbiddingLineSet(K, split, (), tuple(segs), 0, 0)
                 for row in range(split + 1):
                     for T_min in (0, 1, 1 + rng.below(2 * K), (K - 1) ** 2):
-                        spans = next(_exclusion_runs([row], f, T_min, K))
-                        want = _excluded_set_oracle(row, f, T_min, K)
-                        assert excluded_columns(row, f, T_min, K) == want
+                        spans = next(_exclusion_runs([row], f, T_min))
+                        want = _excluded_set_oracle(row, f, T_min)
+                        assert excluded_columns(row, f, T_min) == want
                         assert {c for lo, hi in spans for c in range(lo, hi + 1)} == want
                         # sorted, disjoint and not adjacent: merged
                         assert all(lo <= hi for lo, hi in spans)
                         assert all(b[0] > a[1] + 1 for a, b in zip(spans, spans[1:]))
                 # every row in one call
                 rows = list(range(K))
-                want = [sorted(_excluded_set_oracle(row, f, K, K)) for row in rows]
-                got = list(_exclusion_runs(rows, f, K, K))
+                want = [sorted(_excluded_set_oracle(row, f, K)) for row in rows]
+                got = list(_exclusion_runs(rows, f, K))
                 assert [[c for lo, hi in spans for c in range(lo, hi + 1)] for spans in got] == want
 
     def test_payloads_match_the_golden(self):
@@ -385,7 +386,7 @@ class TestExclusionIntervals:
         # every lower row; the decoder must refuse without listing them
         K, n = K20, 200
         payload = encode_theorem2(distinct_row_arrangement(K, n, seed=62)).payload
-        header_w = _theorem2_widths(K, n)[0]
+        header_w = _theorem2_widths(K)[0]
         hostile = BitString.from_int((K - 1) ** 2, header_w) + payload[header_w:]
         t0 = time.perf_counter()
         with pytest.raises(DecodeError, match="out of range"):
@@ -393,10 +394,10 @@ class TestExclusionIntervals:
         assert time.perf_counter() - t0 < 0.1
 
 
-def _reference_intervals(row, f, T_min, K):
+def _reference_intervals(row, f, T_min):
     """Merged excluded intervals of one row in Python integers: each line's
     num/den +- T_min/S over the common denominator den * S."""
-    S = K - 1
+    S = f.K - 1
     spans = []
     for (x1, y1), (x2, y2) in f.segments:
         num, den = x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2
@@ -437,12 +438,12 @@ class TestExclusionRuns:
         rows = [0, 1, 2, f.split_row - 1, f.split_row, f.split_row + 1, S - 1, S]
         rows += [rng.below(K) for _ in range(8)]
         for T_min in (0, 1, S, S + 1, 1 + rng.below(S * S), S * S - 1, S * S):
-            want = [_reference_intervals(row, f, T_min, K) for row in rows]
-            assert list(_exclusion_runs(rows, f, T_min, K)) == want
-        assert list(_exclusion_runs(rows, f, S * S, K)) == [[(0, S)]] * len(rows)
+            want = [_reference_intervals(row, f, T_min) for row in rows]
+            assert list(_exclusion_runs(rows, f, T_min)) == want
+        assert list(_exclusion_runs(rows, f, S * S)) == [[(0, S)]] * len(rows)
 
     def test_no_lines_and_errors(self):
         f = ForbiddingLineSet(64, 31, (), (), 0, 0)
-        assert list(_exclusion_runs([0, 5, 31], f, 1000, 64)) == [[], [], []]
+        assert list(_exclusion_runs([0, 5, 31], f, 1000)) == [[], [], []]
         with pytest.raises(ValueError, match="nonnegative"):
-            excluded_columns(0, f, -1, 64)
+            excluded_columns(0, f, -1)

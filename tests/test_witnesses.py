@@ -20,7 +20,6 @@ from heilbronn.witnesses import (
     WITNESS_KINDS,
     _min_payload_bits,
     _theorem2_widths,
-    _width_sub_rank,
     decode_witness,
     encode_collinear_witness,
     encode_rowline_witness,
@@ -273,6 +272,8 @@ class TestDecodeErrors:
         # sub-arrangement {(0, 0), (1, 0)}, P = (0, 0), R lands on (1, 0)
         ("rowline", [(rank_combination((0, 1), 16), 7), (0, 1), (0, 2)], 4, 3,
          "decoded points are not a valid arrangement: duplicate pebble at (1, 0)"),
+        ("rowline", [(rank_combination((0, 5, 10), 16), 10), (3, 2), (0, 2)], 4, 4,
+         "pebble index 3 out of range at bit 12"),
         ("rowline", [(0, 6), (5, 3)], 6, 2, "row cell index 5 out of range at bit 9"),
         # P = (0, 0), Q = (1, 0), R at candidate 100, 51 rows below the grid
         ("small_triangle", [(rank_combination((0, 1), 16), 7), (0, 0), (100, None)], 4, 3,
@@ -281,7 +282,7 @@ class TestDecodeErrors:
         ("theorem2", [(0, 5), (10, 4), (0, 3)], 5, 2,
          "row-set rank out of range at bit 9: rank 10 out of range for C(5, 2)"),
         ("theorem2", [(0, 5), (0, 4), (5, 3), (0, 1)], 5, 2, "column 5 out of range at bit 12"),
-    ], ids=["pair-rank", "duplicate", "row-cell", "candidate", "header", "row-set", "column"])
+    ], ids=["pair-rank", "duplicate", "pebble-index", "row-cell", "candidate", "header", "row-set", "column"])
     def test_crafted_payload_fails_its_field_check(self, kind, fields, K, n, message):
         # (value, width) fields; width None is a self-delimiting natural
         payload = sum((coding.sd_prime(coding.nat_to_string(v)) if w is None
@@ -316,10 +317,10 @@ class TestDecodeErrors:
                 if kind == "theorem2":
                     if n > K:
                         break
-                    header_w, rows_w, col_w = _theorem2_widths(K, n)
-                    fields = header_w + rows_w + (n // 2) * col_w
+                    header_w, col_w = _theorem2_widths(K)
+                    fields = header_w + ceil_log2(comb(K, n)) + (n // 2) * col_w
                 else:
-                    fields = _width_sub_rank(K, n)
+                    fields = ceil_log2(comb(K * K, n - 1))
                 assert _min_payload_bits(kind, K, n) <= fields, (K, n)
 
     def test_unknown_kind(self):
