@@ -124,6 +124,17 @@ class TestForbiddingLines:
         a = distinct_row_arrangement(K20, 200, seed=54, stream=0)
         assert count_forbidding_lines(a) == self.reference_count(a)
 
+    def test_count_matches_exact_intercepts_at_the_grid_maximum(self):
+        # corner pebbles take c0 and row * d near (K - 1)^2 ~ 2^60, inside int64
+        K = MAX_GRID_SIDE
+        S = K - 1
+        up = [(0, S), (S, S - 1), (S // 2, S - 2), (S, S // 2 + 2), (0, S // 2 + 1)]
+        low = [(S // 2, S // 2), (S - 1, 3), (1, 2), (S, 1), (0, 0)]
+        corners = GridArrangement.from_points(K, up + low)
+        assert count_forbidding_lines(corners) == self.reference_count(corners) > 0
+        a = distinct_row_arrangement(K, 200, seed=54)
+        assert count_forbidding_lines(a) == self.reference_count(a)
+
     def test_definitional_count_at_least_certified(self):
         for t in range(10):
             a = distinct_row_arrangement(K20, 200, seed=54, stream=t)
