@@ -67,6 +67,7 @@ from .witnesses import (
     encode_rowline_witness,
     encode_small_triangle_witness,
     encode_theorem2,
+    encode_witness,
     excluded_columns,
     find_collinear_triple,
     forbidding_lines,

@@ -40,14 +40,7 @@ from .montecarlo import (
     scan_mu,
     tail_probability,
 )
-from .witnesses import (
-    WITNESS_KINDS,
-    decode_witness,
-    encode_collinear_witness,
-    encode_rowline_witness,
-    encode_small_triangle_witness,
-    encode_theorem2,
-)
+from .witnesses import WITNESS_KINDS, decode_witness, encode_witness
 
 OUTPUT_VERSION = 1
 
@@ -287,20 +280,12 @@ def _cmd_unrank(args):
     return _saved(results, args.out, save_grid, a)
 
 
-_ENCODERS = {
-    "collinear": lambda a, triple: encode_collinear_witness(a),
-    "rowline": lambda a, triple: encode_rowline_witness(a),
-    "small_triangle": lambda a, triple: encode_small_triangle_witness(a, triple),
-    "theorem2": lambda a, triple: encode_theorem2(a),
-}
-
-
 def _cmd_witness(args):
     if args.triple is not None and (args.kind, args.action) != ("small_triangle", "encode"):
         raise UsageError("--triple applies only to small_triangle encode")
     if args.action == "encode":
         a = load_grid(args.file)
-        rep = _ENCODERS[args.kind](a, args.triple)
+        rep = encode_witness(args.kind, a, args.triple)
         results = {
             "kind": rep.kind,
             "K": a.K,

@@ -9,7 +9,6 @@ best achievable minimum area at small n.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -25,6 +24,7 @@ from .geometry import (
     # unused here; perfbench/spans.py patches this name to count calls
     twice_signed_area,  # noqa: F401
 )
+from .montecarlo import ordered_map
 from .rng import stream_rng
 
 # local-search schedule (fixed for reproducibility)
@@ -285,15 +285,8 @@ def optimize_heilbronn(
         raise ValueError("optimizer supports 3 <= n <= 16")
     if restarts < 1 or steps < 1:
         raise ValueError("restarts and steps must be positive")
-    workers = min(jobs, os.cpu_count() or 1, restarts)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_restart, [n] * restarts, [seed] * restarts,
-                                 range(restarts), [steps] * restarts))
-    else:
-        runs = [_run_restart(n, seed, r, steps) for r in range(restarts)]
+    runs = ordered_map(_run_restart, jobs, [n] * restarts, [seed] * restarts, range(restarts),
+                       [steps] * restarts)
     best_r = 0
     for r in range(1, restarts):
         if runs[r][0] > runs[best_r][0]:

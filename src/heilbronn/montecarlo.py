@@ -173,20 +173,27 @@ def _areas_chunk(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def ordered_map(fn: Callable, jobs: int, *args: Sequence) -> list:
+    """``fn`` applied to the zipped ``args``, in task order, on at most
+    min(jobs, CPU count, tasks) worker processes; one worker runs every
+    task in this process and imports no ``multiprocessing``."""
+    workers = min(jobs, os.cpu_count() or 1, min(map(len, args)))
+    if workers <= 1:
+        return list(map(fn, *args))
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *args))
+
+
 def _trial_areas(n: int, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
     """Per-trial smallest areas as float64, in trial order regardless of jobs."""
     if n < 3:
         raise ValueError("need at least 3 points for a triangle")
-    # one chunk of at least 4 trials per worker, at most one worker per CPU
-    workers = min(jobs, os.cpu_count() or 1, trials // 4)
-    if workers <= 1:
-        return _areas_chunk(n, seed, 0, trials)
-    from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
-
-    bounds = [trials * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_areas_chunk, [n] * workers, [seed] * workers, bounds[:-1], bounds[1:])
-        return np.concatenate(list(chunks))  # map keeps chunk order, which is trial order
+    chunks = max(1, min(jobs, trials // 4))  # at least 4 trials a chunk
+    bounds = [trials * c // chunks for c in range(chunks + 1)]
+    parts = ordered_map(_areas_chunk, jobs, [n] * chunks, [seed] * chunks, bounds[:-1], bounds[1:])
+    return parts[0] if chunks == 1 else np.concatenate(parts)  # a lone chunk is not copied
 
 
 def estimate_mu(n: int, trials: int, seed: int, jobs: int = 1) -> MuEstimate:

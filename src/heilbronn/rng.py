@@ -125,7 +125,7 @@ def word_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     state *= _GOLDEN_U64
     _mix64_array(state)
     state ^= np.uint64(seed & MASK64)
-    _mix64_array(state)  # derive_state(seed, start + r)
+    _mix64_array(state)  # derive_seed(seed, start + r)
     return _stream_words(state, 1, width)
 
 
@@ -139,16 +139,12 @@ def uniform_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     return out
 
 
-def derive_state(seed: int, stream_id: int) -> int:
-    """Initial SplitMix64 state for a (seed, stream) pair."""
-    return mix64((seed & MASK64) ^ mix64((stream_id * GOLDEN) & MASK64))
+def derive_seed(seed: int, tag: int) -> int:
+    """Initial SplitMix64 state of stream (seed, tag), and the independent
+    sub-seed of a tagged sub-experiment."""
+    return mix64((seed & MASK64) ^ mix64((tag * GOLDEN) & MASK64))
 
 
 def stream_rng(seed: int, stream_id: int) -> SplitMix64:
     """Generator for one stream under a master seed (see module docstring)."""
-    return SplitMix64(derive_state(seed, stream_id))
-
-
-def derive_seed(seed: int, tag: int) -> int:
-    """Independent sub-seed for a tagged sub-experiment (same mixing rule)."""
-    return derive_state(seed, tag)
+    return SplitMix64(derive_seed(seed, stream_id))

@@ -327,10 +327,9 @@ def _triangle_candidate_index(P: GridPoint, Q: GridPoint, R: GridPoint) -> int:
     g, cross = _triangle_cross(P, Q, R)
     q1, q2 = Q.x - P.x, Q.y - P.y
     level_start = (abs(cross) // g - 1) * 2 * g + (0 if cross > 0 else g)
-    bx, by, t_lo = _coset_params(q1, q2, g, cross)
-    dx, dy = q1 // g, q2 // g
-    t_R = (R.x - P.x - bx) // dx if dx else (R.y - P.y - by) // dy
-    return level_start + (t_R - t_lo)
+    # R's slot: its projection numerator s over the level's step (q1^2 + q2^2) / g
+    s = q1 * (R.x - P.x) + q2 * (R.y - P.y)
+    return level_start + s * g // (q1 * q1 + q2 * q2)
 
 
 def _coset_params(q1: int, q2: int, g: int, v: int) -> tuple[int, int, int]:
@@ -666,15 +665,33 @@ def _decode_theorem2(reader: BitReader, K: int, n: int) -> list[GridPoint]:
 # dispatch and the closed-form bound
 
 
-# each kind's field reader, and the fewest pebbles its structure needs
-_DECODERS = {
-    "collinear": (_decode_collinear, 3),
-    "rowline": (_decode_rowline, 2),
-    "small_triangle": (_decode_small_triangle, 3),
-    "theorem2": (_decode_theorem2, 2),
+# each kind's encoder, field reader, and the fewest pebbles its structure needs
+_CODECS = {
+    "collinear": (encode_collinear_witness, _decode_collinear, 3),
+    "rowline": (encode_rowline_witness, _decode_rowline, 2),
+    "small_triangle": (encode_small_triangle_witness, _decode_small_triangle, 3),
+    "theorem2": (encode_theorem2, _decode_theorem2, 2),
 }
 
-WITNESS_KINDS = tuple(_DECODERS)
+WITNESS_KINDS = tuple(_CODECS)
+
+
+def _codec(kind: str) -> tuple:
+    if kind not in _CODECS:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    return _CODECS[kind]
+
+
+def encode_witness(kind: str, a: GridArrangement, triple: Optional[tuple[int, int, int]] = None) -> WitnessReport:
+    """Encode ``a`` as a witness of ``kind``; ``triple`` picks the
+    small-triangle witness's indices (see ``encode_small_triangle_witness``)
+    and applies to no other kind."""
+    encode = _codec(kind)[0]
+    if triple is None:
+        return encode(a)
+    if kind != "small_triangle":
+        raise ValueError(f"a triple applies only to small_triangle witnesses, not {kind!r}")
+    return encode(a, triple)
 
 
 def _min_payload_bits(kind: str, K: int, n: int) -> int:
@@ -697,9 +714,7 @@ def decode_witness(kind: str, payload: BitString, K: int, n: int) -> GridArrange
     raises DecodeError with the offending bit position, at bit 0, before
     any binomial, for a payload shorter than ``_min_payload_bits``.
     """
-    if kind not in _DECODERS:
-        raise ValueError(f"unknown witness kind {kind!r}")
-    read_pebbles, min_n = _DECODERS[kind]
+    _, read_pebbles, min_n = _codec(kind)
     max_n = K if kind == "theorem2" else K * K  # theorem-2 pebbles occupy distinct rows
     if not 2 <= K <= MAX_GRID_SIDE or not min_n <= n <= max_n:
         raise DecodeError(f"no {kind} witness exists for K={K}, n={n}")

@@ -110,8 +110,8 @@ class _InlineExecutor:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace ``concurrent.futures.ProcessPoolExecutor``, which montecarlo
-    and constructions import where they start a pool, with
+    """Replace ``concurrent.futures.ProcessPoolExecutor``, which
+    ``montecarlo.ordered_map`` imports where it starts a pool, with
     ``_InlineExecutor`` on a machine that reports 4 CPUs; returns the list
     of ``max_workers`` values the code asked for."""
     created: list[int] = []

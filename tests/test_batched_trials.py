@@ -4,6 +4,7 @@
 estimates against one ``min_area_triangle`` per sampled point set or grid
 arrangement, across block boundaries, block sizes and worker counts."""
 
+import tracemalloc
 import warnings
 from math import fsum
 
@@ -164,6 +165,18 @@ class TestBlockIndependence:
             assert isinstance(vals, np.ndarray)
             assert vals.dtype == np.float64 and vals.shape == (trials,)
         assert inline_pool == [3]
+
+    def test_serial_run_keeps_one_area_array(self):
+        # the README's 8 bytes a trial: a lone chunk is returned as is, and
+        # a copy of it (16 bytes a trial) fails the bound
+        trials = 400_000
+        tracemalloc.start()
+        try:
+            _trial_areas(3, trials, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * trials
 
     @pytest.mark.parametrize("elements", [1, 50, 999])
     def test_block_size_moves_no_bit(self, monkeypatch, elements):

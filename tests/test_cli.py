@@ -127,6 +127,12 @@ class TestScan:
         assert captured.out == ""
         assert "need at least 2 trials" in captured.err
 
+    def test_one_repeated_n_is_a_data_error(self, capsys):
+        assert run(["scan", "--ns", "8,8,8", "--trials", "4", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must span more than one n\n"
+
 
 class TestSeedAliasing:
     """Seeds and stream ids are used modulo 2^64 (README, Command line)."""

@@ -59,6 +59,10 @@ class TestNatStringBijection:
     def test_length_identity(self, m):
         assert len(nat_to_string(m)) == (m + 1).bit_length() - 1
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="^naturals only$"):
+            nat_to_string(-1)
+
 
 class TestSelfDelimiting:
     def test_bar_examples(self):
@@ -212,6 +216,10 @@ class TestBitStringSerialization:
         with pytest.raises(ValueError):
             BitString("012")
 
+    def test_from_int_rejects_a_value_wider_than_its_field(self):
+        with pytest.raises(ValueError, match="^value 4 does not fit in 2 bits$"):
+            BitString.from_int(4, 2)
+
 
 class TestRanking:
     def test_first_arrangement(self):
@@ -286,3 +294,8 @@ class TestBaselineLength:
         k = ceil_log2(m)
         assert 2**k >= m
         assert k == 0 or 2 ** (k - 1) < m
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_ceil_log2_rejects_nonpositive(self, m):
+        with pytest.raises(ValueError, match="^ceil_log2 requires a positive integer$"):
+            ceil_log2(m)

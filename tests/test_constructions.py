@@ -106,6 +106,11 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_heilbronn(17, seed=0)
 
+    @pytest.mark.parametrize("restarts, steps", [(0, 10), (1, 0), (-2, 10)])
+    def test_restarts_and_steps_validated(self, restarts, steps):
+        with pytest.raises(ValueError, match="^restarts and steps must be positive$"):
+            optimize_heilbronn(4, restarts=restarts, steps=steps, seed=0)
+
 
 def rescan_steps(xs, ys, rng):
     """The optimizer's step loop as it was before the twice-area table:

@@ -101,6 +101,10 @@ class TestLatticePoints:
         with pytest.raises(ValueError):
             lattice_points_half_open(GridPoint(3, 3), GridPoint(3, 3))
 
+    def test_rejects_float_points(self):
+        with pytest.raises(ValueError, match="^lattice point counting requires integer grid points$"):
+            lattice_points_half_open((0.0, 0.0), (1.0, 1.0))
+
     @given(point, point, point)
     def test_g_divides_every_form_value(self, p, q, r):
         # the linear form values over lattice points are multiples of g
@@ -179,6 +183,10 @@ class TestMinAreaTriangle:
         ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(ValueError):
             min_area_triangle(ps, mode="quick")
+
+    def test_rejects_a_plain_list(self):
+        with pytest.raises(TypeError, match="^expected PointSet or GridArrangement$"):
+            min_area_triangle([(0, 0), (1, 0), (0, 1)])
 
 
 # heavy-tie inputs for the tie-break fuzz: dense small grids, and float sets

@@ -148,6 +148,10 @@ class TestFitExponent:
         with pytest.raises(ValueError):
             fit_exponent([(8, 1e-3), (16, 1e-4)])
 
+    def test_rejects_a_single_n(self):
+        with pytest.raises(ValueError, match="^samples must span more than one n$"):
+            fit_exponent([(8, 1e-3), (8, 2e-3), (8, 3e-3)])
+
 
 class TestTailProbability:
     def test_zero_threshold(self):
@@ -199,6 +203,10 @@ class TestDegenerateStats:
             assert a.shared_row_fraction >= b.shared_row_fraction
             assert a.collinear_fraction >= b.collinear_fraction
 
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            degenerate_structure_stats(8, 4, 0, 1)
+
 
 class TestScaledMeanBand:
     def test_n8_scaled_mean_in_pilot_band(self, acceptance_scan):
@@ -248,6 +256,10 @@ class TestAnalyzePointset:
         rep = analyze_pointset(ps, baseline_seed=18, baseline_trials=300)
         assert rep.area == 0.0
         assert rep.percentile == 0.0
+
+    def test_rejects_two_points(self):
+        with pytest.raises(ValueError, match="^n must be >= 3$"):
+            analyze_pointset(PointSet.from_coords([(0, 0), (1, 1)]), baseline_seed=1)
 
     def test_percentile_roughly_uniform(self):
         # KS of percentiles of random sets against the uniform distribution

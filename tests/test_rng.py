@@ -14,14 +14,14 @@ from heilbronn.rng import (
     GOLDEN,
     MASK64,
     SplitMix64,
-    derive_state,
+    derive_seed,
     mix64,
     stream_rng,
     uniform_block,
     word_block,
 )
 
-STATES = [0, 1, MASK64, derive_state(2024, 7)]
+STATES = [0, 1, MASK64, derive_seed(2024, 7)]
 BOUNDS = [1, 2, 3, 12, 2**40 + 1, 2**64]
 
 
@@ -88,7 +88,7 @@ def test_below_rejects_a_nonpositive_bound(bound):
         stream_rng(0, 0).below(bound)
 
 
-@pytest.mark.parametrize("seed", [0, MASK64, derive_state(5, 5)])
+@pytest.mark.parametrize("seed", [0, MASK64, derive_seed(5, 5)])
 @pytest.mark.parametrize("start", [0, 1000, 2**63 - 2])
 def test_word_block_rows_are_the_scalar_streams(seed, start):
     with warnings.catch_warnings():
@@ -96,7 +96,7 @@ def test_word_block_rows_are_the_scalar_streams(seed, start):
         block = word_block(seed, start, start + 3, 513)
     assert block.shape == (3, 513) and block.dtype == np.uint64
     for r in range(3):
-        ref = ScalarSplitMix64(derive_state(seed, start + r))
+        ref = ScalarSplitMix64(derive_seed(seed, start + r))
         assert block[r].tolist() == [ref.next64() for _ in range(513)]
 
 
@@ -116,7 +116,7 @@ def test_empty_word_block(width):
 @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 300, 1000])
 def test_take_is_k_next64_calls(drawn, k):
     # MASK64 and the large states catch a take that does not wrap its state
-    for state in [derive_state(7, 3), *STATES]:
+    for state in [derive_seed(7, 3), *STATES]:
         rng, ref = SplitMix64(state), ScalarSplitMix64(state)
         for _ in range(drawn):
             assert rng.next64() == ref.next64()

@@ -24,11 +24,14 @@ from heilbronn.witnesses import (
     encode_collinear_witness,
     encode_rowline_witness,
     encode_small_triangle_witness,
+    encode_theorem2,
+    encode_witness,
     find_collinear_triple,
     small_triangle_geometry,
 )
 
 from conftest import (
+    distinct_row_arrangement,
     planted_collinear,
     planted_shared_row,
     planted_small_triangle,
@@ -209,6 +212,48 @@ class TestSmallTriangleWitness:
         a = GridArrangement.from_points(8, [(0, 0), (1, 1), (2, 2), (5, 0)])
         with pytest.raises(ValueError, match="degenerate"):
             encode_small_triangle_witness(a, (0, 2, 3))  # the collinear triple
+
+
+# each kind with its encoder and an arrangement that holds its structure
+ENCODERS = {
+    "collinear": (encode_collinear_witness, lambda: planted_collinear(1024, 8, seed=61)),
+    "rowline": (encode_rowline_witness, lambda: planted_shared_row(1024, 8, seed=62)),
+    "small_triangle": (encode_small_triangle_witness, lambda: planted_small_triangle(1024, 8, seed=63)[0]),
+    "theorem2": (encode_theorem2, lambda: distinct_row_arrangement(1024, 8, seed=64)),
+}
+
+
+class TestEncodeWitness:
+    def test_every_kind_has_an_encoder(self):
+        assert tuple(ENCODERS) == WITNESS_KINDS
+
+    @pytest.mark.parametrize("kind", WITNESS_KINDS)
+    def test_matches_the_kind_encoder_and_decodes(self, kind):
+        encode, make = ENCODERS[kind]
+        a = make()
+        rep = encode_witness(kind, a)
+        assert rep == encode(a)
+        assert rep.kind == kind
+        assert decode_witness(kind, rep.payload, a.K, a.n) == a
+
+    def test_small_triangle_takes_a_triple(self):
+        a, triple = planted_small_triangle(1024, 8, seed=65, T=3)
+        rep = encode_witness("small_triangle", a, triple)
+        assert rep == encode_small_triangle_witness(a, triple)
+        assert decode_witness("small_triangle", rep.payload, 1024, 8) == a
+
+    def test_unknown_kind(self):
+        a = planted_collinear(1024, 8, seed=61)
+        with pytest.raises(ValueError, match="^unknown witness kind 'mystery'$"):
+            encode_witness("mystery", a)
+        with pytest.raises(ValueError, match="^unknown witness kind 'mystery'$"):
+            decode_witness("mystery", BitString("0"), 4, 3)
+
+    @pytest.mark.parametrize("kind", ["collinear", "rowline", "theorem2"])
+    def test_triple_applies_only_to_small_triangle(self, kind):
+        a = ENCODERS[kind][1]()
+        with pytest.raises(ValueError, match=f"^a triple applies only to small_triangle witnesses, not '{kind}'$"):
+            encode_witness(kind, a, (0, 1, 2))
 
 
 class TestDecodeErrors:
