@@ -8,18 +8,21 @@ Two coordinate modes exist side by side and never mix:
   deterministic IEEE-754 with a fixed operation order, so pure-Python and
   vectorized paths return bit-identical values.
 
-There are three triple scans, all exact and all returning the same bits:
+There are four triple scans, all exact and all returning the same bits:
 
 * ``_min_triple_exhaustive``, the pure-Python reference (test oracle,
   ``mode="exhaustive"`` and the optimizer's final re-verification);
 * ``_pivot_scan``, the vectorised per-pivot scan over one point set or a
-  batch of them, evaluating all C(n, 3) triples.  ``min_twice_area_rows``
-  runs it on rows of fewer than ``_WINDOW_MIN_N`` points, all rows at
-  once, and ``_pivot_first_min`` on sets outside the rounding model below;
+  batch of them, evaluating all C(n, 3) triples; ``_pivot_first_min``
+  runs it on sets outside the rounding model below;
+* the all-triples pass of ``min_twice_area_rows`` on rows of fewer than
+  ``_WINDOW_MIN_N`` points: every triple of a chunk of rows at once,
+  from the pair differences and ``_triple_table``, with the operands
+  of ``_pivot_scan``;
 * ``_window_scan``, which evaluates only the triples an angular window
   and a computed bound cannot rule out.  ``min_area_triangle(mode="fast")``
   uses it for every set, and ``min_twice_area_rows`` row by row from
-  ``_WINDOW_MIN_N`` points on (the measured break-even is near n = 58).
+  ``_WINDOW_MIN_N`` points on.
 
 The windowed scan returns the minimum of the same computed values.  For a
 pivot i, let d_j = p_j - p_i (j > i) be the differences ``_pivot_scan``
@@ -78,7 +81,8 @@ MAX_GRID_SIDE = 1 << 30  # guarantees twice-areas fit in int64 intermediates
 EPS_COLLINEAR = 1e-15
 
 #: elements per temporary array of a batched pass: a pivot chunk of
-#: ``_window_scan``, a slice of its candidate pairs, and a block of Monte
+#: ``_window_scan``, a slice of its candidate pairs, a row chunk or triple
+#: slice of ``min_twice_area_rows``, and the uniforms of a block of Monte
 #: Carlo trials (``montecarlo._block_trials``)
 _BLOCK_ELEMENTS = 1 << 14
 #: the rounding term of the window: 3 units of float64 roundoff, 3 * 2^-53
@@ -86,7 +90,8 @@ _GAMMA = 3 * 2.0**-53
 #: angular slack for the rounding of the directions, arcsin and the sort keys
 _PAD = 1e-9
 #: rows of ``min_twice_area_rows`` with this many points take ``_window_scan``
-#: one at a time; fewer take ``_pivot_scan`` all at once
+#: one at a time; fewer take the all-triples pass a chunk of rows at once.
+#: The measured break-even is near n = 72; 60 is kept (README).
 _WINDOW_MIN_N = 60
 
 
@@ -280,6 +285,23 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     i*(n-2) - i*(i-1)//2; one table per n keeps the cache at O(n^2) memory.
     """
     return np.triu_indices(n - 1, 1)
+
+
+@lru_cache(maxsize=4)
+def _triple_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J, A, B): the C(n, 2) pairs (I, J), I < J, of n points in
+    row-major order, and for the C(n, 3) triples i < j < k in lexicographic
+    order the ids A of (i, j) and B of (i, k) in that list, about
+    16 C(n, 3) bytes.
+
+    Pair (i, j) precedes n - 1 - j triples, k = j + 1 .. n - 1, and the
+    pairs of one i are consecutive, so (i, k) is pair (i, j) plus k - j."""
+    pi, pj = np.triu_indices(n, 1)
+    runs = n - 1 - pj
+    ta = np.repeat(np.arange(pi.size), runs)
+    tb = ta + 1
+    tb += np.arange(ta.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    return pi, pj, ta, tb
 
 
 def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
@@ -496,17 +518,42 @@ def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]
 def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Minimum |cross| over all triples of each row of (B, n) coordinates:
     ``_window_scan`` row by row from ``_WINDOW_MIN_N`` points on, below it
-    ``_pivot_scan`` on all rows at once, reduced per pivot by a row minimum."""
+    every triple of a chunk of rows in one pass.
+
+    The pass takes each pair's differences, then the cross of every
+    triple (i, j, k) from the differences of its pairs (i, j) and (i, k)
+    (``_triple_table``), with the operands and order of ``_pivot_scan``.
+    A chunk holds ``_BLOCK_ELEMENTS // C(n, 3)`` rows, or one row whose
+    triples are read in slices of ``_BLOCK_ELEMENTS``, so each temporary
+    stays near ``_BLOCK_ELEMENTS`` elements."""
     if xs.shape[1] < 3:
         raise ValueError("need at least 3 points for a triangle")
+    dtype = np.result_type(xs, ys)
     if xs.shape[1] >= _WINDOW_MIN_N:
-        dtype = np.result_type(xs, ys)
         return np.array([_window_scan(x, y)[3] for x, y in zip(xs, ys)], dtype=dtype)
-    best = None
-    for _, _, _, cross in _pivot_scan(xs, ys):
-        row_min = cross.min(axis=1)
-        best = row_min if best is None else np.minimum(best, row_min, out=best)
-    return best
+    pi, pj, ta, tb = _triple_table(xs.shape[1])
+    step = max(1, _BLOCK_ELEMENTS // ta.size)
+    xs = np.ascontiguousarray(xs)  # gathers from strided views are slower
+    ys = np.ascontiguousarray(ys)
+    out = np.empty(xs.shape[0], dtype=dtype)
+    for r in range(0, xs.shape[0], step):
+        x, y = xs[r : r + step], ys[r : r + step]
+        # mixed dtypes cast the differences, as the products would
+        dx = (x.take(pj, axis=1) - x.take(pi, axis=1)).astype(dtype, copy=False)
+        dy = (y.take(pj, axis=1) - y.take(pi, axis=1)).astype(dtype, copy=False)
+        best = None
+        for s in range(0, ta.size, _BLOCK_ELEMENTS):
+            a, b = ta[s : s + _BLOCK_ELEMENTS], tb[s : s + _BLOCK_ELEMENTS]
+            cross = dx.take(a, axis=1)
+            cross *= dy.take(b, axis=1)
+            t = dy.take(a, axis=1)
+            t *= dx.take(b, axis=1)
+            cross -= t
+            np.abs(cross, out=cross)
+            row_min = cross.min(axis=1)
+            best = row_min if best is None else np.minimum(best, row_min, out=best)
+        out[r : r + step] = best
+    return out
 
 
 def min_area_triangle(points, mode: str = "fast") -> TriangleReport:

@@ -6,12 +6,12 @@ per-trial values in trial order with exact (Shewchuk) summation, so
 results are bit-identical for any worker count or scheduling.
 
 Trials run in blocks: one ``uniform_block`` call draws the points of a
-block of consecutive trials and one ``min_twice_area_rows`` call keeps
-each row's minimum (the per-pivot scan on all rows at once below
-``geometry._WINDOW_MIN_N`` points, the windowed scan one row at a time
-from there on; at that size a block is a few trials).  A block holds about
-``_BLOCK_ELEMENTS`` elements per array, and since every trial is its own
-row, no result depends on the block size.  A run keeps its areas in one
+block of consecutive trials, about ``_BLOCK_ELEMENTS`` uniforms, and one
+``min_twice_area_rows`` call keeps each row's minimum (below
+``geometry._WINDOW_MIN_N`` points every triple of a chunk of rows in one
+pass, the kernel sizing its own chunks; from there on the windowed scan
+one row at a time).  Since every trial is its own row, no result depends
+on the block or chunk size.  A run keeps its areas in one
 float64 array, 8 bytes a trial.
 
 A grid trial is its sorted cell ids y*K + x (``_grid_cells``), and a
@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, fsum, isfinite, log2
+from math import fsum, isfinite, log2
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,8 @@ from .rng import derive_seed, stream_rng, uniform_block, word_block
 
 
 def default_trial_schedule(n: int) -> int:
-    """Trial count trading cost for precision under the O(n^3) scan."""
+    """Trial count trading cost for precision: about 160000 sampled points
+    per n (160000 // n trials), and at least 500 trials."""
     return max(500, 160000 // n)
 
 
@@ -154,10 +155,10 @@ class PointSetReport:
 
 
 def _block_trials(n: int) -> int:
-    """Trials per block at n points (n >= 3): the pair gather of pivot 0,
-    C(n-1, 2) per trial, or the 2n uniforms of a trial, whichever is
-    larger, fills about ``_BLOCK_ELEMENTS`` elements."""
-    return max(1, _BLOCK_ELEMENTS // max(comb(n - 1, 2), 2 * n))
+    """Trials per block at n points: the 2n uniforms of a trial fill about
+    ``_BLOCK_ELEMENTS`` elements; ``min_twice_area_rows`` chunks the rows
+    of a block to its own size."""
+    return max(1, _BLOCK_ELEMENTS // (2 * n))
 
 
 def _areas_chunk(n: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -173,12 +174,20 @@ def _areas_chunk(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """min(jobs, tasks, CPU count), at least 1; the CPU count is read only
+    when jobs and tasks both exceed 1."""
+    if jobs <= 1 or tasks <= 1:
+        return 1
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def ordered_map(fn: Callable, jobs: int, *args: Sequence) -> list:
-    """``fn`` applied to the zipped ``args``, in task order, on at most
-    min(jobs, CPU count, tasks) worker processes; one worker runs every
-    task in this process and imports no ``multiprocessing``."""
-    workers = min(jobs, os.cpu_count() or 1, min(map(len, args)))
-    if workers <= 1:
+    """``fn`` applied to the zipped ``args``, in task order, on
+    ``_workers(jobs, tasks)`` worker processes; one worker runs every task
+    in this process and imports no ``multiprocessing``."""
+    workers = _workers(jobs, min(map(len, args)))
+    if workers == 1:
         return list(map(fn, *args))
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
@@ -190,7 +199,7 @@ def _trial_areas(n: int, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
     """Per-trial smallest areas as float64, in trial order regardless of jobs."""
     if n < 3:
         raise ValueError("need at least 3 points for a triangle")
-    chunks = max(1, min(jobs, trials // 4))  # at least 4 trials a chunk
+    chunks = _workers(jobs, trials // 4)  # one per worker, at least 4 trials each
     bounds = [trials * c // chunks for c in range(chunks + 1)]
     parts = ordered_map(_areas_chunk, jobs, [n] * chunks, [seed] * chunks, bounds[:-1], bounds[1:])
     return parts[0] if chunks == 1 else np.concatenate(parts)  # a lone chunk is not copied
@@ -216,11 +225,12 @@ def estimate_mu(n: int, trials: int, seed: int, jobs: int = 1) -> MuEstimate:
     if live.min() == live.max():
         mean, stderr = float(live[0]), 0.0
     else:
-        mean = fsum(live) / live.size
+        vals = live.tolist()
+        mean = fsum(vals) / len(vals)
         # squared as Python floats: ** 2 is libm pow, which rounds some
         # squares unlike numpy's v * v
-        var = fsum((float(v) - mean) ** 2 for v in live) / (live.size - 1)
-        stderr = (var / live.size) ** 0.5
+        var = fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+        stderr = (var / len(vals)) ** 0.5
     ci = (mean - 1.96 * stderr, mean + 1.96 * stderr)
     return MuEstimate(n, trials, mean, stderr, ci, seed, zeros)
 

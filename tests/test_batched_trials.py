@@ -6,13 +6,20 @@ arrangement, across block boundaries, block sizes and worker counts."""
 
 import tracemalloc
 import warnings
-from math import fsum
+from math import comb, fsum
 
 import numpy as np
 import pytest
 
 from heilbronn import montecarlo
-from heilbronn.geometry import _min_triple_exhaustive, min_area_triangle, min_twice_area_rows
+from heilbronn.geometry import (
+    _BLOCK_ELEMENTS,
+    _min_triple_exhaustive,
+    _pivot_scan,
+    _triple_table,
+    min_area_triangle,
+    min_twice_area_rows,
+)
 from heilbronn.montecarlo import (
     MuEstimate,
     _block_trials,
@@ -83,6 +90,109 @@ class TestRowKernel:
     def test_rejects_fewer_than_three_points(self):
         with pytest.raises(ValueError):
             min_twice_area_rows(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def _pivot_rows(xs, ys):
+    """Row minima of the batched ``_pivot_scan``, reduced per pivot."""
+    best = None
+    for _, _, _, cross in _pivot_scan(xs, ys):
+        m = cross.min(axis=1)
+        best = m if best is None else np.minimum(best, m)
+    return best
+
+
+def _chunk_rows(n):
+    return max(1, _BLOCK_ELEMENTS // comb(n, 3))
+
+
+class TestTriplePass:
+    """The all-triples pass of ``min_twice_area_rows`` below the window
+    crossover, across its row chunks and, from n = 48 on, where C(n, 3)
+    passes ``_BLOCK_ELEMENTS``, its triple slices."""
+
+    NS = [3, 4, 8, 16, 46, 47, 48, 59]
+
+    @staticmethod
+    def _row_counts(n):
+        c = _chunk_rows(n)
+        return sorted({1, c - 1, c + 1, 2 * c + 3})
+
+    def test_slices_start_at_n_48(self):
+        assert comb(47, 3) <= _BLOCK_ELEMENTS < comb(48, 3)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_float_rows_match_both_references(self, n):
+        for B in self._row_counts(n):
+            u = uniform_block(derive_seed(31, n), 0, B, 2 * n)
+            xs, ys = u[:, 0::2], u[:, 1::2]
+            got = min_twice_area_rows(xs, ys)
+            assert got.dtype == np.float64 and got.shape == (B,)
+            assert got.tolist() == _exhaustive_rows(xs, ys, float)
+            if B:
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in _pivot_rows(xs, ys).tolist()]
+
+    @pytest.mark.parametrize("n, K", [(3, 3), (4, 3), (8, 4), (16, 6), (47, 9), (48, 9), (59, 10)])
+    def test_heavy_tie_grid_rows_match_both_references(self, n, K):
+        for B in self._row_counts(n):
+            ys, xs = np.divmod(montecarlo._grid_cell_block(K, n, 13, 0, B), K)
+            got = min_twice_area_rows(xs, ys)
+            assert got.dtype == np.int64
+            want = _exhaustive_rows(xs, ys, int)
+            assert got.tolist() == want
+            if B:
+                assert got.tolist() == _pivot_rows(xs, ys).tolist()
+        assert 0 in want  # the grid is small enough for collinear rows
+
+    @pytest.mark.parametrize("n", [8, 48])
+    def test_mixed_dtypes_match_pivot_scan(self, n):
+        # int64 x with float64 y: the differences cast where the products did
+        B = _chunk_rows(n) + 1
+        xs = np.divmod(montecarlo._grid_cell_block(2**20, n, 3, 0, B), 2**20)[1]
+        ys = uniform_block(3, 0, B, n)
+        got = min_twice_area_rows(xs, ys)
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in _pivot_rows(xs, ys).tolist()]
+
+    @pytest.mark.parametrize("n", [8, 16, 48])
+    def test_zero_minimum_is_positive_zero(self, n):
+        # three points of each row on one horizontal line, the middle one
+        # first: the exhaustive scan computes (-0.5 * 0) - (0 * 0.25) = -0.0
+        B = _chunk_rows(n) + 1
+        u = uniform_block(derive_seed(37, n), 0, B, 2 * n)
+        xs, ys = u[:, 0::2].copy(), u[:, 1::2].copy()
+        xs[:, :3] = [0.5, 0.0, 0.75]
+        ys[:, :3] = 0.3
+        got = min_twice_area_rows(xs, ys)
+        assert [v.hex() for v in got.tolist()] == ["0x0.0p+0"] * B
+        assert [v.hex() for v in _pivot_rows(xs, ys).tolist()] == ["0x0.0p+0"] * B
+        ref = _min_triple_exhaustive(xs[0].tolist(), ys[0].tolist())
+        assert ref[:3] == (0, 1, 2) and ref[3].hex() == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("n, B", [(16, 512), (59, 8)])
+    def test_temporaries_stay_near_the_block(self, n, B):
+        u = uniform_block(5, 0, B, 2 * n)
+        xs, ys = u[:, 0::2], u[:, 1::2]
+        min_twice_area_rows(xs[:1], ys[:1])  # the cached table is not a temporary
+        tracemalloc.start()
+        try:
+            min_twice_area_rows(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about three float64 blocks live at once (the cross, the second
+        # product, one gather) and the chunk's pair differences; one pass
+        # over all 512 rows, or one row's triples unsliced, would not fit
+        assert peak < 5 * 8 * _BLOCK_ELEMENTS
+
+    def test_triple_table_pairs_and_size(self):
+        for n in (3, 4, 7):
+            pi, pj, ta, tb = _triple_table(n)
+            triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+            pairs = list(zip(pi.tolist(), pj.tolist()))
+            assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert [(pairs[a], pairs[b]) for a, b in zip(ta.tolist(), tb.tolist())] == [
+                ((i, j), (i, k)) for i, j, k in triples]
+        assert sum(a.nbytes for a in _triple_table(59)) < 1 << 20
 
 
 def _per_trial(n, trials, seed):

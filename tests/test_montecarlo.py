@@ -119,6 +119,34 @@ class TestEstimateMu:
         assert inline_pool == workers
         assert parallel == estimate_mu(8, trials=trials, seed=8)
 
+    def test_chunks_never_outnumber_workers(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        chunks = []
+        real = montecarlo._areas_chunk
+
+        def counted(*args):
+            chunks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "_areas_chunk", counted)
+        want = (estimate_mu(16, 400, 5), tail_probability(16, 1e-3, 400, 5))
+        for jobs in (2, 1000):
+            chunks.clear()
+            got = (estimate_mu(16, 400, 5, jobs=jobs), tail_probability(16, 1e-3, 400, 5, jobs=jobs))
+            assert got == want
+            assert len(chunks) == 4  # two chunks per run
+        assert inline_pool == [2] * 4
+
+    def test_serial_runs_read_no_cpu_count(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a serial run read the CPU count")
+
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        estimate_mu(8, trials=64, seed=8)
+        tail_probability(8, 1e-3, 7, 8, jobs=1000)  # one chunk of 7 trials
+        assert montecarlo.ordered_map(abs, 1000, [-3]) == [3]
+        assert montecarlo.ordered_map(abs, 1, [-3, -4]) == [3, 4]
+
     def test_import_loads_no_process_pool(self):
         # the pool is imported where one starts, so a serial run pays no
         # multiprocessing import
