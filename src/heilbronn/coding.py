@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, exp, expm1, factorial, log, log1p, perm
 from typing import Iterable
 
@@ -50,14 +51,22 @@ class BitString:
         if self.bits.strip("01"):
             raise ValueError("bits must contain only '0' and '1'")
 
+    @classmethod
+    def _of(cls, bits: str) -> "BitString":
+        """A BitString of text that holds only '0' and '1' by construction,
+        without the check of ``BitString(bits)``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "bits", bits)
+        return out
+
     def __len__(self) -> int:
         return len(self.bits)
 
     def __add__(self, other: "BitString") -> "BitString":
-        return BitString(self.bits + other.bits)
+        return BitString._of(self.bits + other.bits)
 
     def __getitem__(self, idx) -> "BitString":
-        return BitString(self.bits[idx])
+        return BitString._of(self.bits[idx])
 
     def to_int(self) -> int:
         """Value of the bits as a big-endian unsigned integer (empty -> 0)."""
@@ -68,12 +77,12 @@ class BitString:
         """Fixed-width big-endian encoding; width 0 encodes only value 0."""
         if value < 0 or (width >= 0 and value >> width):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls(format(value, f"0{width}b") if width else "")
+        return cls._of(format(value, f"0{width}b") if width else "")
 
     @classmethod
     def join(cls, parts: Iterable["BitString"]) -> "BitString":
         """The concatenation of ``parts``, in one pass."""
-        return cls("".join(p.bits for p in parts))
+        return cls._of("".join(p.bits for p in parts))
 
     def to_hex(self) -> str:
         """Serialize as '<decimal bit length>:<hex nibbles>', the final
@@ -125,7 +134,7 @@ class BitReader:
         return out
 
     def read(self, k: int) -> BitString:
-        return BitString(self._take(k))
+        return BitString._of(self._take(k))
 
     def read_uint(self, width: int) -> int:
         bits = self._take(width)
@@ -151,7 +160,7 @@ def nat_to_string(m: int) -> BitString:
     if m < 0:
         raise ValueError("naturals only")
     b = bin(m + 1)[3:]  # strip '0b1'
-    return BitString(b)
+    return BitString._of(b)
 
 
 def string_to_nat(x: BitString) -> int:
@@ -161,7 +170,7 @@ def string_to_nat(x: BitString) -> int:
 
 def sd_bar(x: BitString) -> BitString:
     """Self-delimiting code 1^n 0 x for a string x of length n."""
-    return BitString("1" * len(x) + "0" + x.bits)
+    return BitString._of("1" * len(x) + "0" + x.bits)
 
 
 def sd_unbar(reader: BitReader) -> BitString:
@@ -330,8 +339,12 @@ def unrank_arrangement(index: int | ArrangementIndex, K: int, n: int) -> GridArr
     return GridArrangement.from_cells(K, unrank_combination(value, n, K * K))
 
 
+@lru_cache(maxsize=64)
 def baseline_length(K: int, n: int) -> int:
-    """ceil(log2 C(K^2, n)): bits needed to index an arbitrary arrangement."""
+    """ceil(log2 C(K^2, n)): bits needed to index an arbitrary arrangement.
+
+    Cached, as a bit count: every codec round trip at one (K, n) asks for
+    it, and C(2^40, 200) alone takes about 0.1 ms."""
     if n > K * K:
         raise ValueError("n exceeds the number of grid cells")
     return ceil_log2(comb(K * K, n))

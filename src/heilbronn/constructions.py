@@ -123,7 +123,13 @@ class _Restart:
     twice-area table ``tab``, ``value``, the minimal triples ``mins`` as
     ``(pos, a, b, c)``, their count ``minimal`` and their count ``cnt[i]``
     through each point i, the step-size schedule, and the generator's
-    pending words ``words[k:]``."""
+    pending words ``words[k:]``.
+
+    ``through[i]`` is this restart's own list of the ``_through(n)``
+    triples of point i, in the order a move of i tries them: a triangle
+    that rejects a move is swapped to the front, so the next move of i
+    tries it first.  The cached ``_through(n)`` tuples are never mutated.
+    """
 
     __slots__ = ("xs", "ys", "rng", "tab", "value", "mins", "minimal", "cnt", "through",
                  "step", "streak", "words", "k")
@@ -132,7 +138,7 @@ class _Restart:
         self.xs = xs
         self.ys = ys
         self.rng = rng
-        self.through = _through(len(xs))
+        self.through = [list(row) for row in _through(len(xs))]
         tab = []
         for a, b, c in _triples(len(xs)):
             xa, ya = xs[a], ys[a]
@@ -149,15 +155,26 @@ class _Restart:
 
     def _recount(self) -> None:
         # min keeps the first of equal values, as the reference scan does
-        value = min(self.tab) / 2.0
+        tab = self.tab
+        least = min(tab)
+        value = least / 2.0
         cnt = [0] * len(self.xs)
-        mins = []
-        for pos, ((a, b, c), t) in enumerate(zip(_triples(len(self.xs)), self.tab)):
-            if t / 2.0 == value:
-                mins.append((pos, a, b, c))
-                cnt[a] += 1
-                cnt[b] += 1
-                cnt[c] += 1
+        triples = _triples(len(self.xs))
+        # halving is exact from 2**-1021 up, so there t / 2.0 == value holds
+        # for t == least alone; ties, zeros and subnormals take the full scan
+        if least >= 2.0**-1021 and tab.count(least) == 1:
+            pos = tab.index(least)
+            a, b, c = triples[pos]
+            mins = [(pos, a, b, c)]
+            cnt[a] = cnt[b] = cnt[c] = 1
+        else:
+            mins = []
+            for pos, ((a, b, c), t) in enumerate(zip(triples, tab)):
+                if t / 2.0 == value:
+                    mins.append((pos, a, b, c))
+                    cnt[a] += 1
+                    cnt[b] += 1
+                    cnt[c] += 1
         self.value = value
         self.mins = mins
         self.minimal = len(mins)
@@ -203,12 +220,15 @@ class _Restart:
                         break
                 else:
                     new = []
-                    for pos, a, b, c in through[i]:
+                    row = through[i]
+                    for pos, a, b, c in row:
                         xa, ya = xs[a], ys[a]
                         t = (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa)
                         if t < 0:
                             t = -t
                         if t / 2.0 <= value:
+                            j = len(new)  # the rejecting triangle's place in row
+                            row[0], row[j] = row[j], row[0]
                             break
                         new.append((pos, t))
                     else:
@@ -245,9 +265,15 @@ def _run_restart(n: int, seed: int, restart: int, steps: int) -> tuple[float, li
     rejected with no area computed when some minimal triangle avoids i.
     Otherwise the minimal triangles are evaluated first, and only if none
     has ``t / 2.0 <= value`` the C(n-1, 2) triangles through i, stopping at
-    the first that does.  The rejection rule does not depend on the order
+    the first that does.  Those are tried in the restart's own order for i,
+    in which the triangle that rejected the last such move of i comes first
+    (a swap to the front).  The rejection rule does not depend on the order
     in which triangles are checked, and an accepted move has evaluated every
     triangle through i; only it writes the table and recounts the minimum.
+    The recount takes a unique minimum of at least 2**-1021 by ``min``,
+    ``count`` and ``index``: halving is exact there, so ``t / 2.0 == value``
+    holds for that entry alone.  Ties, zeros and subnormal minima take the
+    full ``t / 2.0 == value`` scan.
 
     The steps run in one loop (``_Restart.run``) that decodes the draws of
     ``below(n)``, ``below(2)`` and ``uniform()`` from the generator's words

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
@@ -138,16 +139,24 @@ def find_shared_row_pair(a: GridArrangement) -> Optional[tuple[int, int]]:
 # shared codec helpers
 
 
+@lru_cache(maxsize=64)
+def _comb_bits(m: int, k: int) -> int:
+    """ceil(log2 C(m, k)), the width of a ranked field of k cells of
+    range(m); cached, as a bit count, since a codec reads the same few
+    widths on every round trip and C(2^40, 199) alone takes about 0.1 ms."""
+    return ceil_log2(comb(m, k))
+
+
 def _combination_bits(cells: Sequence[int], m: int) -> BitString:
     """A ranked-combination field: the strictly increasing ``cells`` of
     range(m) as their rank, in ceil(log2 C(m, k)) bits for k cells."""
-    return BitString.from_int(rank_combination(cells, m), ceil_log2(comb(m, len(cells))))
+    return BitString.from_int(rank_combination(cells, m), _comb_bits(m, len(cells)))
 
 
 def _read_combination(reader: BitReader, k: int, m: int, what: str) -> tuple[int, ...]:
     """Read a ``_combination_bits`` field of k cells of range(m); ``what``
     names the field when the rank is C(m, k) or more."""
-    rank = reader.read_uint(ceil_log2(comb(m, k)))
+    rank = reader.read_uint(_comb_bits(m, k))
     try:
         return unrank_combination(rank, k, m)
     except ValueError as exc:

@@ -299,3 +299,57 @@ class TestBaselineLength:
     def test_ceil_log2_rejects_nonpositive(self, m):
         with pytest.raises(ValueError, match="^ceil_log2 requires a positive integer$"):
             ceil_log2(m)
+
+
+class TestTextChecks:
+    """Library operations build their text unchecked; the public entries
+    still check theirs."""
+
+    @pytest.mark.parametrize("text", ["012", "2", "0 1", " 01", "01\n", "1a", "0b1", "٠١", "O1"])
+    def test_constructor_rejects_non_binary(self, text):
+        with pytest.raises(ValueError, match="^bits must contain only '0' and '1'$"):
+            BitString(text)
+
+    @pytest.mark.parametrize("text", ["nonsense", "2:0x", "4:g", "-4:a", "4:a٠"])
+    def test_from_hex_rejects_malformed(self, text):
+        with pytest.raises(ValueError, match="^malformed bit string serialization"):
+            BitString.from_hex(text)
+
+    @given(bitstrings, bitstrings, st.integers(0, 2**40), st.integers(0, 45))
+    def test_built_text_equals_checked_text(self, x, y, value, k):
+        built = [
+            (x + y, x.bits + y.bits),
+            (x[1:], x.bits[1:]),
+            (BitString.join([x, y, x]), x.bits + y.bits + x.bits),
+            (BitString.from_int(value, 41), format(value, "041b")),
+            (nat_to_string(value), bin(value + 1)[3:]),
+            (sd_bar(x), "1" * len(x) + "0" + x.bits),
+        ]
+        reader = BitReader(x + y)
+        if k <= len(x) + len(y):
+            built.append((reader.read(k), (x.bits + y.bits)[:k]))
+        for got, text in built:
+            assert type(got) is BitString
+            assert got == BitString(text) and hash(got) == hash(BitString(text))
+
+
+class TestCachedBaseline:
+    def test_repeats_compute_no_binomial(self, monkeypatch):
+        calls = []
+        real = coding.comb
+
+        def counted(m, k):
+            calls.append((m, k))
+            return real(m, k)
+
+        monkeypatch.setattr(coding, "comb", counted)
+        baseline_length.cache_clear()
+        first = [baseline_length(1024, 8), baseline_length(2**20, 200)]
+        assert [baseline_length(1024, 8), baseline_length(2**20, 200)] == first
+        assert first == [ceil_log2(comb(1024**2, 8)), ceil_log2(comb(2**40, 200))]
+        assert calls == [(1024**2, 8), (2**40, 200)]
+
+    def test_overfull_still_rejected_after_a_cached_width(self):
+        assert baseline_length(2, 4) == 0
+        with pytest.raises(ValueError, match="^n exceeds the number of grid cells$"):
+            baseline_length(2, 5)

@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from heilbronn.constructions import (
     _STREAK,
     _WORDS,
     _Restart,
+    _through,
+    _triples,
     corners_plus_random,
     erdos_area_lower_bound,
     erdos_prime,
@@ -266,6 +269,82 @@ class TestWordChunks:
         assert res.value.hex() == want["value"]
         assert [[p.x.hex(), p.y.hex()] for p in res.points.points] == want["points"]
         assert res.iterations == want["iterations"]
+
+
+def recount_rule(tab, n):
+    """The minimum and minimal triples of a twice-area table by the rule
+    itself: value = min(tab) / 2.0, and t is minimal when t / 2.0 == value."""
+    value = min(tab) / 2.0
+    minimal = [pos for pos, t in enumerate(tab) if t / 2.0 == value]
+    cnt = [sum(i in _triples(n)[pos] for pos in minimal) for i in range(n)]
+    return value, minimal, cnt
+
+
+TINY = 2.0**-1074  # the least subnormal
+EXACT = 2.0**-1021  # from here up, halving is exact
+
+
+class TestRecount:
+    """``_Restart._recount`` on hand-set tables of n = 5 (10 triples)."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {3: 0.125},  # a unique normal minimum
+            {2: 0.125, 7: 0.125},  # two equal minima
+            {1: -0.0, 6: 0.0},  # a -0.0 first minimum, a later +0.0
+            {0: 4 * TINY, 5: 3 * TINY},  # both halve to 2 * TINY
+            {4: EXACT, 8: math.nextafter(EXACT, 1.0)},  # halves differ
+            {4: math.nextafter(EXACT, 0.0), 8: EXACT},  # both halve to 2**-1022
+            {9: EXACT},  # a unique minimum at the bound
+            {0: TINY * 2**40, 9: 0.0},  # a subnormal, then a lone zero
+        ],
+    )
+    def test_hand_set_tables(self, entries):
+        climb = _Restart([0.1, 0.9, 0.3, 0.7, 0.5], [0.2, 0.4, 0.8, 0.6, 0.1], stream_rng(0, 0))
+        climb.tab = [0.5] * 10
+        for pos, t in entries.items():
+            climb.tab[pos] = t
+        climb._recount()
+        value, minimal, cnt = recount_rule(climb.tab, 5)
+        assert climb.value.hex() == value.hex()
+        assert sorted(pos for pos, *_ in climb.mins) == minimal
+        assert all((a, b, c) == _triples(5)[pos] for pos, a, b, c in climb.mins)
+        assert climb.minimal == len(minimal)
+        assert climb.cnt == cnt
+
+    def test_the_bound_is_tight(self):
+        """Below 2**-1021 two different entries can both be minimal."""
+        below = math.nextafter(EXACT, 0.0)
+        assert below != EXACT and below / 2.0 == EXACT / 2.0
+        assert math.nextafter(EXACT, 1.0) / 2.0 != EXACT / 2.0
+
+
+class TestMoveOrder:
+    def test_order_state_stays_per_restart(self):
+        fresh = _through.__wrapped__(8)
+        first = optimize_heilbronn(8, restarts=3, steps=2000, seed=9)
+        second = optimize_heilbronn(8, restarts=3, steps=2000, seed=9)
+        assert _through(8) == fresh
+        assert first.value.hex() == second.value.hex()
+        assert first.iterations == second.iterations
+        assert [[p.x.hex(), p.y.hex()] for p in first.points.points] == [
+            [p.x.hex(), p.y.hex()] for p in second.points.points
+        ]
+
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    def test_a_restart_reorders_its_own_lists(self, n):
+        rng = stream_rng(13, n)
+        pts = [rng.uniform() for _ in range(2 * n)]
+        climb = _Restart(pts[0::2], pts[1::2], stream_rng(2, n))
+        assert climb.run(800) == 800
+        cached = _through(n)
+        assert cached == _through.__wrapped__(n)
+        assert all(type(row) is list for row in climb.through)
+        assert [sorted(row) for row in climb.through] == [list(row) for row in cached]
+        assert climb.through != [list(row) for row in cached]  # some rejection moved a triangle
+        assert sum(map(len, climb.through)) == n * math.comb(n - 1, 2)
+        assert_state_is_recount(climb)
 
 
 class TestCornersPlusRandom:

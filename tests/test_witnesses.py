@@ -377,3 +377,31 @@ class TestDecodeErrors:
             a = planted_collinear(1024, 8, seed=45, stream=t)
             rep = encode_collinear_witness(a)
             assert decode_witness("collinear", rep.payload, 1024, 8) == a
+
+
+class TestCombBits:
+    @pytest.mark.parametrize("m, k", [(1, 0), (2, 1), (6, 2), (3, 2), (2**40, 199), (2**20, 200)])
+    def test_matches_the_binomial(self, m, k):
+        assert witnesses._comb_bits(m, k) == ceil_log2(comb(m, k))
+
+    def test_repeated_round_trips_compute_each_width_once(self, monkeypatch):
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return comb(m, k)
+
+        monkeypatch.setattr(witnesses, "comb", counted)
+        witnesses._comb_bits.cache_clear()
+        a = GridArrangement.from_points(64, [(0, 0), (1, 1), (2, 2), (7, 40), (50, 3)])
+        payloads = []
+        for _ in range(3):
+            rep = witnesses.encode_witness("collinear", a)
+            assert witnesses.decode_witness("collinear", rep.payload, 64, 5) == a
+            payloads.append(rep.payload)
+        assert len(set(payloads)) == 1
+        assert sorted(calls) == [(4, 2), (64**2, 4)]
+
+    def test_an_empty_domain_still_raises(self):
+        with pytest.raises(ValueError, match="^ceil_log2 requires a positive integer$"):
+            witnesses._comb_bits(1, 2)
