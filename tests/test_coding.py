@@ -348,8 +348,3 @@ class TestCachedBaseline:
         assert [baseline_length(1024, 8), baseline_length(2**20, 200)] == first
         assert first == [ceil_log2(comb(1024**2, 8)), ceil_log2(comb(2**40, 200))]
         assert calls == [(1024**2, 8), (2**40, 200)]
-
-    def test_overfull_still_rejected_after_a_cached_width(self):
-        assert baseline_length(2, 4) == 0
-        with pytest.raises(ValueError, match="^n exceeds the number of grid cells$"):
-            baseline_length(2, 5)
