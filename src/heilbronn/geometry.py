@@ -8,58 +8,74 @@ Two coordinate modes exist side by side and never mix:
   deterministic IEEE-754 with a fixed operation order, so pure-Python and
   vectorized paths return bit-identical values.
 
-There are four triple scans, all exact and all returning the same bits:
+There are three triple scans, all exact and all returning the same bits:
 
 * ``_min_triple_exhaustive``, the pure-Python reference (test oracle,
   ``mode="exhaustive"`` and the optimizer's final re-verification);
-* ``_pivot_scan``, the vectorised per-pivot scan over one point set or a
-  batch of them, evaluating all C(n, 3) triples; ``_pivot_first_min``
-  runs it on sets outside the rounding model below;
 * the all-triples pass of ``min_twice_area_rows`` on rows of fewer than
   ``_WINDOW_MIN_N`` points: every triple of a chunk of rows at once,
-  from the pair differences and ``_triple_table``, with the operands
-  of ``_pivot_scan``;
+  from the pair differences and ``_triple_table``;
 * ``_window_scan``, which evaluates only the triples an angular window
   and a computed bound cannot rule out.  ``min_area_triangle(mode="fast")``
   uses it for every set, and ``min_twice_area_rows`` row by row from
   ``_WINDOW_MIN_N`` points on.
 
+All three take the operands of ``_min_triple_exhaustive`` in its order.
 The windowed scan returns the minimum of the same computed values.  For a
-pivot i, let d_j = p_j - p_i (j > i) be the differences ``_pivot_scan``
-computes, r_j = |d_j|, and the value of a pair (j, k) the computed
+pivot i, let d_j = fl(p_j - p_i) (j > i) be the computed differences,
+r_j = |d_j|, and the value of a pair (j, k) the computed
 |fl(fl(dx_j dy_k) - fl(dy_j dx_k))|, the same for (k, j).
 
 * **Bound.**  Sort the d_j by direction mod pi.  U is the least value
   over angularly adjacent pairs (the last with the first), taken over
   the pivots scanned so far and every candidate evaluated so far.  It is
   the value of a real triple, so the minimum is at most U.
-* **Candidates.**  With rho^2 = U * n, a vector is short when r^2 <= rho^2
-  (with a 2^-20 relative margin on the computed r^2), and long otherwise.
-  A pair is a candidate when one of its vectors is short, or when both
-  are long and their directions are within
-  alpha = arcsin(1/n + gamma) + pad of each other mod pi.
-* **Why every triple of value <= U is a candidate.**  Each product and the
-  difference round with relative error at most u = 2^-53, and
-  |dx_j dy_k| + |dy_j dx_k| <= r_j r_k (Cauchy-Schwarz), so a value
-  v <= U has |sin(angle)| <= v / ((1 - u) r_j r_k) + u.  Two long vectors
-  have r_j r_k > U * n, so |sin(angle)| < 1/n + gamma with gamma = 3u.
-  pad = 1e-9 covers the rounding of the computed directions, of arcsin
-  and of the sort keys: direction + 8 * row, rows local to a chunk of
+* **Candidates.**  With rho^2 = max(U * n, 2^-1000), a vector is short
+  when its computed r^2 <= rho^2 * (1 + 2^-20), and long otherwise.  A
+  pair is a candidate when one of its vectors is short, or when both are
+  long and their directions are within alpha = arcsin(1/n + gamma) + pad
+  of each other mod pi.
+* **Why every triple of value <= U is a candidate.**  Float coordinates
+  of magnitude at most 2^399 give differences of at most 2^400, so no
+  product overflows.  With gradual underflow a product rounds as
+  fl(ab) = ab(1 + e) + h with |e| <= u = 2^-53 and |h| <= 2^-1075, and
+  the difference of two floats rounds with relative error at most u (a
+  subnormal difference is exact).  Since |dx_j dy_k| + |dy_j dx_k| <=
+  r_j r_k (Cauchy-Schwarz), a value v <= U has
+  |sin(angle)| <= v / ((1 - u) r_j r_k) + u + 2^-1074 / (r_j r_k).  Two
+  long vectors have r_j r_k > rho^2, at least U * n and 2^-1000, so
+  |sin(angle)| < 1/n + 2u + 2^-74 < 1/n + gamma with gamma = 3u.  The
+  2^-20 margin covers the rounding of the computed r^2 and rho^2, which
+  is relative up to an absolute term of about 3 * 2^-1075, far below
+  2^-20 rho^2 once rho^2 >= 2^-1000.
+* **Directions.**  pad = 1e-9 covers the rounding of the computed
+  directions, of arcsin and of the sort keys.  A quotient dy/dx that
+  underflows or overflows (to +-inf, when dx is subnormal or zero) gives
+  a direction off by less than 2^-1022.  A sort key is
+  direction + 8 * row, rows local to a chunk of
   min(max(1, B // w), w - 1) <= sqrt(B) pivots for B = ``_BLOCK_ELEMENTS``
   and w points after the chunk's first pivot (at most 127 at B = 2^14),
   so a key stays below 2^10 and rounds by less than 2^-43.
-  Int64 grid coordinates make every value exact.
-* **The rounding model** needs each product to be normal: float
-  coordinates with nonzero magnitudes in [2^-347, 2^399], or int64 ones
-  spanning less than 2^31 (``_window_exact``).  Any other set takes the
-  cubic scan.
+* **Where no window applies.**  Int64 grid coordinates spanning less than
+  2^31 make every value exact.  A set that fails ``_window_exact`` (wider
+  int64 coordinates, whose products may wrap, or floats past 2^399) has
+  alpha = -1 and rho^2 = inf: every point is short, so every pair is a
+  candidate, evaluated in slices like any other.  (Floats past about
+  2^511 can make a value inf - inf = NaN, which has no minimum; no caller
+  passes them.)
 
 The minimal triples have value <= U, so all of them are candidates, and
 the smallest candidate (value, i, j, k) in lexicographic order is the
-cubic scan's answer, ties and +0.0 included.  Uniform random points give
-about n^2 / 7 candidates of the C(n, 3) triples; a set with many exactly
-collinear points can make every triple a candidate, evaluated in slices
-of ``_BLOCK_ELEMENTS``, and a zero minimum ends the scan.
+first minimum of |cross| over all C(n, 3) triples, ties and +0.0
+included.  On sets whose nonzero
+coordinates are at least 2^-347, as on every grid, a nonzero r^2 is at
+least 2^-798 and a nonzero U at least 2^-850, so the floor 2^-1000 moves
+no candidate: U * n exceeds it when U > 0, and at U = 0 only zero vectors
+are short.  Uniform random points give about n^2 / 7 candidates
+of the C(n, 3) triples; a set with many exactly collinear points, or whose
+differences are all below 2^-500, can make every triple a candidate,
+evaluated in slices of ``_BLOCK_ELEMENTS``, and a zero minimum ends the
+scan.
 
 A grid point (i, j) maps to the unit-square point (i/(K-1), j/(K-1)); with
 that convention a nondegenerate grid triangle has area at least
@@ -278,16 +294,6 @@ def normalize_area(twice_area, K: int) -> float:
 
 
 @lru_cache(maxsize=4)
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All C(n-1, 2) pairs (j, k), j < k, of xs[1:] in row-major order.
-
-    Pivot i's pairs, those of xs[i+1:], are this table's tail from offset
-    i*(n-2) - i*(i-1)//2; one table per n keeps the cache at O(n^2) memory.
-    """
-    return np.triu_indices(n - 1, 1)
-
-
-@lru_cache(maxsize=4)
 def _triple_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(I, J, A, B): the C(n, 2) pairs (I, J), I < J, of n points in
     row-major order, and for the C(n, 3) triples i < j < k in lexicographic
@@ -307,9 +313,9 @@ def _triple_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
     """Reference scan over all C(n,3) triples; exact, lexicographic ties.
 
-    The oracle of every other scan: ``_pivot_scan`` and the optimizer's
-    twice-area table (``constructions._run_restart``) use its operand
-    order, so their values match it bit for bit."""
+    The oracle of every other scan: the vectorised scans and the
+    optimizer's twice-area table (``constructions._run_restart``) use its
+    operand order, so their values match it bit for bit."""
     n = len(xs)
     best = None
     best_ijk = None
@@ -327,57 +333,14 @@ def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
     return best_ijk[0], best_ijk[1], best_ijk[2], best
 
 
-def _pivot_scan(xs: np.ndarray, ys: np.ndarray):
-    """The vectorised triple scan over float64 or int64 coordinate rows:
-    one point set of shape (n,) or a batch of B sets of shape (B, n).
-
-    For each pivot i, yields (i, jj, kk, cross): |cross| of every triple
-    (i, 1+jj, 1+kk) of every row, a block of shape (..., C(n-i-1, 2))
-    whose last axis runs over the pairs of points after i in row-major
-    order.  The point differences are taken before the gather, which moves
-    no bit: each pair reads the same two differences, with the operand
-    order of ``_min_triple_exhaustive``.  Each block stays alive until the
-    next one is built, which keeps the allocator from churning at large n.
-    """
-    n = xs.shape[-1]
-    jt, kt = _pair_table(n)
-    xs = np.ascontiguousarray(xs)
-    ys = np.ascontiguousarray(ys)
-    for i in range(n - 2):
-        start = i * (n - 2) - i * (i - 1) // 2
-        jj, kk = jt[start:], kt[start:]
-        dx = xs[..., 1:] - xs[..., i, None]  # the i leading columns go unread
-        dy = ys[..., 1:] - ys[..., i, None]
-        cross = dx.take(jj, axis=-1) * dy.take(kk, axis=-1)
-        cross -= dy.take(jj, axis=-1) * dx.take(kk, axis=-1)
-        np.abs(cross, out=cross)
-        yield i, jj, kk, cross
-
-
-def _pivot_first_min(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]:
-    """``_pivot_scan`` of one point set reduced to its lexicographically
-    first minimal triple: the first strict minimum over pivots, the first
-    argmin within a pivot."""
-    t = None
-    for p, jj, kk, cross in _pivot_scan(xs, ys):
-        pos = int(cross.argmin())
-        if t is None or cross[pos] < t:
-            t = cross[pos]
-            i, j, k = p, 1 + int(jj[pos]), 1 + int(kk[pos])
-    return i, j, k, t
-
-
 def _window_exact(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """True when the rounding model behind ``_window_scan`` holds: int64
-    coordinates spanning less than 2^31 (every cross is exact), or finite
-    floats whose nonzero magnitudes lie in [2^-347, 2^399].  Two such
-    floats differ by a multiple of the finer one's ulp, at least 2^-399,
-    so every nonzero difference lies in [2^-399, 2^400] and no product of
-    two differences underflows or overflows."""
+    """True when no product of two differences in ``_window_scan`` can
+    wrap or overflow: int64 coordinates spanning less than 2^31 (every
+    cross is exact), or floats of magnitude at most 2^399, whose
+    differences stay within 2^400."""
     if xs.dtype.kind != "f":
         return all(int(v.max()) - int(v.min()) < 1 << 31 for v in (xs, ys))
-    v = np.abs(np.stack((xs, ys)))
-    return bool(v.max() <= 2.0**399 and v.min(initial=np.inf, where=v > 0) >= 2.0**-347)
+    return bool(np.abs(np.stack((xs, ys))).max() <= 2.0**399)
 
 
 def _runs(starts: np.ndarray, stops: np.ndarray):
@@ -400,7 +363,8 @@ def _runs(starts: np.ndarray, stops: np.ndarray):
 def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]:
     """Lexicographically first minimal triple (i, j, k, |cross|) of one
     float64 or int64 point set, evaluating only the candidate triples of
-    the module docstring; bit-identical to ``_pivot_first_min``.
+    the module docstring; bit-identical to |cross| over all C(n, 3)
+    triples reduced to its first minimum.
 
     Pivots run in chunks of consecutive points, each a (c, w) block of
     differences of about ``_BLOCK_ELEMENTS`` elements (row r is pivot
@@ -409,17 +373,16 @@ def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]
     row in direction order (the "flat order"); a window pair is two flat
     positions whose keys, direction + 8 * row, differ by at most alpha."""
     n = xs.shape[0]
-    if not _window_exact(xs, ys):
-        return _pivot_first_min(xs, ys)
-    alpha = asin(1.0 / n + _GAMMA) + _PAD
+    exact = _window_exact(xs, ys)
+    alpha = asin(1.0 / n + _GAMMA) + _PAD if exact else -1.0
     bound = best = None
     a = 0
     while a < n - 2:
         w = n - 1 - a
         c = min(max(1, _BLOCK_ELEMENTS // w), n - 2 - a)
-        dx = xs[a + 1 :] - xs[a : a + c, None]  # the differences of _pivot_scan
+        dx = xs[a + 1 :] - xs[a : a + c, None]
         dy = ys[a + 1 :] - ys[a : a + c, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             theta = np.divide(dy, dx)
         np.arctan(theta, out=theta)  # direction mod pi, in [-pi/2, pi/2]
         theta[np.isnan(theta)] = 0.0  # a repeated point; it is always short
@@ -499,7 +462,8 @@ def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]
         # the pairs across pi/2, and each short point with the rest of its row
         wp = live(wp)
         wrap = np.maximum(np.searchsorted(key, key[wp] + (np.pi - alpha)), wp + 1)
-        sh = live(np.flatnonzero(dx * dx + dy * dy <= float(bound) * n * (1 + 2.0**-20)))
+        rho2 = max(float(bound) * n, 2.0**-1000) * (1 + 2.0**-20) if exact else np.inf
+        sh = live(np.flatnonzero(dx * dx + dy * dy <= rho2))
         sh_row = flat[sh] // w
         starts = np.concatenate((wrap, first[sh_row], sh + 1))
         stops = np.concatenate((end[flat[wp] // w], sh, end[sh_row]))
@@ -522,7 +486,8 @@ def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     The pass takes each pair's differences, then the cross of every
     triple (i, j, k) from the differences of its pairs (i, j) and (i, k)
-    (``_triple_table``), with the operands and order of ``_pivot_scan``.
+    (``_triple_table``), with the operands and order of
+    ``_min_triple_exhaustive``.
     A chunk holds ``_BLOCK_ELEMENTS // C(n, 3)`` rows, or one row whose
     triples are read in slices of ``_BLOCK_ELEMENTS``, so each temporary
     stays near ``_BLOCK_ELEMENTS`` elements."""

@@ -15,7 +15,6 @@ from heilbronn import montecarlo
 from heilbronn.geometry import (
     _BLOCK_ELEMENTS,
     _min_triple_exhaustive,
-    _pivot_scan,
     _triple_table,
     min_area_triangle,
     min_twice_area_rows,
@@ -31,6 +30,7 @@ from heilbronn.montecarlo import (
     tail_probability,
 )
 from heilbronn.rng import derive_seed, stream_rng, uniform_block
+from pivot_oracle import _pivot_scan
 
 SEEDS = [0, 2**64 - 1, derive_seed(2024, 7)]
 

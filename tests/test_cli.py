@@ -52,6 +52,27 @@ class TestMinTriangle:
         rec = run_json(capsys, ["min-triangle", "--file", path, "--mode", "exhaustive"])
         assert rec["results"]["twice_area"] >= 0
 
+    def test_subnormal_coordinates_match_exhaustive(self, capsys, tmp_path):
+        # products of these differences underflow and some quotients dy/dx
+        # overflow; the fast scan stays exact and silent on stderr
+        coords = [(0.0, 0.3), (1e-310, 0.7), (5e-324, 0.1), (0.5, 5e-324), (0.2, 1e-310),
+                  (1e-310, 1e-310), (5e-324, 5e-324)]
+        coords += [((7 * t % 23) / 23, (11 * t % 29) / 29) for t in range(1, 40)]
+        path = tmp_path / "tiny.txt"
+        save_pointset(PointSet.from_coords(coords), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "heilbronn", "min-triangle", "--file", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        fast = json.loads(proc.stdout)["results"]
+        rec = run_json(capsys, ["min-triangle", "--file", str(path), "--mode", "exhaustive"])
+        want = rec["results"]
+        assert [fast[f] for f in ("i", "j", "k", "twice_area")] == [
+            want[f] for f in ("i", "j", "k", "twice_area")
+        ]
+
 
 class TestSampleAndAnalyze:
     def test_sample_pointset(self, capsys, tmp_path):

@@ -18,12 +18,11 @@ import pytest
 from heilbronn import geometry
 from heilbronn.geometry import (
     _WINDOW_MIN_N,
-    _pivot_first_min,
-    _pivot_scan,
     _window_scan,
     min_twice_area_rows,
 )
 from heilbronn.rng import uniform_block
+from pivot_oracle import _pivot_first_min, _pivot_scan
 
 
 def _same(xs, ys):
@@ -206,14 +205,62 @@ def test_near_line_without_zero(curve):
 
 
 def test_inputs_outside_the_rounding_model_fall_back():
-    # products of these differences underflow; the cubic scan answers
+    # products of these differences underflow, which the short-radius
+    # floor absorbs; the int64 products may wrap, so every pair is evaluated
     xs, ys = _uniform(80, 3)
     xs *= 1e-300
-    assert not geometry._window_exact(xs, ys)
+    assert geometry._window_exact(xs, ys)
     _same(xs, ys)
     big = np.array([0, 1 << 40, 3, 5, (1 << 40) + 7], dtype=np.int64)
     assert not geometry._window_exact(big, big[::-1].copy())
     _same(big, big[::-1].copy())
+
+
+def _hostile(rng, family, n):
+    """One point set whose products of differences underflow, to
+    subnormals or to zero."""
+    xs, ys = rng.random(n), rng.random(n)
+    if family == 0:  # tiny or subnormal coordinates among uniform ones
+        v = np.concatenate((xs, ys))
+        at = rng.choice(2 * n, rng.integers(1, n + 1), replace=False)
+        v[at] *= rng.choice([1e-200, 1e-310, 5e-324, 2.0**-530])
+        return v[:n], v[n:]
+    # scales whose squared differences stay normal or subnormal but nonzero
+    tiny = 2.0 ** -int(rng.integers(528, 541))
+    if family == 1:  # the whole set scaled into the underflow range
+        s = rng.choice([1e-300, 1e-310, tiny])
+        return xs * s, ys * s
+    if family == 2:  # a cluster near the origin among uniform points
+        m = int(rng.integers(3, n + 1))
+        s = rng.choice([5e-324 * int(rng.integers(2, 1 << 20)), tiny])
+        at = rng.choice(n, m, replace=False)
+        xs[at], ys[at] = rng.random(m) * s, rng.random(m) * s
+        return xs, ys
+    # 5e-324 offsets from the points of a coarse grid
+    xs = rng.integers(0, 8, n) / 8.0 + rng.integers(0, 3, n) * 5e-324
+    ys = rng.integers(0, 8, n) / 8.0 + rng.integers(0, 3, n) * 5e-324
+    return xs, ys
+
+
+def test_hostile_sets_match_the_cubic_scan():
+    # an underflowed product is off by up to 2^-1075; the 2^-1000 floor on
+    # the short radius absorbs that, and a quotient dy/dx that overflows
+    # on a subnormal dx raises no warning
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        _same(*_hostile(rng, seed % 4, int(rng.integers(3, 61))))
+
+
+def test_one_tiny_coordinate_scans_in_bounded_memory():
+    # this set once took the cubic scan and its 8 n^2-byte pair table
+    xs, ys = _uniform(600, 21)
+    xs[17] = 1e-200
+    tracemalloc.start()
+    _window_scan(xs, ys)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 24 * 8 * geometry._BLOCK_ELEMENTS
+    _same(xs, ys)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 33, 64, 129])

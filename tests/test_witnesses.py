@@ -256,6 +256,35 @@ class TestEncodeWitness:
             encode_witness(kind, a, (0, 1, 2))
 
 
+class TestPrefixCode:
+    """The counting argument needs each kind's code to be injective: then
+    at most m / 2^delta of the m = C(K^2, n) arrangements save delta bits.
+    At K = 4, n = 4 no payload is shorter than the baseline, so
+    prefix-freeness and the Kraft sum carry the check.  Decoders accept
+    some payloads no encoder emits, so only encode-then-decode is checked."""
+
+    @pytest.mark.parametrize("kind", WITNESS_KINDS)
+    def test_every_arrangement_decodes_from_a_prefix_free_code(self, kind):
+        K, n = 4, 4
+        payloads = []
+        for cells in combinations(range(K * K), n):
+            a = GridArrangement.from_cells(K, cells)
+            try:
+                payload = encode_witness(kind, a).payload
+            except ValueError:  # the arrangement lacks the kind's structure
+                continue
+            assert decode_witness(kind, payload, K, n) == a
+            payloads.append(payload.bits)
+        if kind == "theorem2":
+            assert len(payloads) == K**n  # the arrangements with distinct rows
+        # in sorted order, a word that is a prefix of another precedes its
+        # immediate successor as a prefix of it
+        words = sorted(payloads)
+        assert all(not b.startswith(a) for a, b in zip(words, words[1:]))
+        longest = max(map(len, words))
+        assert sum(1 << (longest - len(w)) for w in words) <= 1 << longest
+
+
 class TestDecodeErrors:
     @pytest.mark.parametrize("kind,make", [
         ("collinear", lambda: (planted_collinear(1024, 8, seed=41), encode_collinear_witness)),
@@ -347,6 +376,9 @@ class TestDecodeErrors:
         def refuse(*args):
             raise AssertionError("decode computed a binomial")
 
+        # cached widths would hide a binomial computed before the length check
+        witnesses._comb_bits.cache_clear()
+        coding.baseline_length.cache_clear()
         monkeypatch.setattr(coding, "comb", refuse)
         monkeypatch.setattr(coding, "perm", refuse)
         monkeypatch.setattr(witnesses, "comb", refuse)
