@@ -225,7 +225,7 @@ def _hostile(rng, family, n):
         at = rng.choice(2 * n, rng.integers(1, n + 1), replace=False)
         v[at] *= rng.choice([1e-200, 1e-310, 5e-324, 2.0**-530])
         return v[:n], v[n:]
-    # scales whose squared differences stay normal or subnormal but nonzero
+    # scales around 2^-537, below which a squared difference underflows to 0
     tiny = 2.0 ** -int(rng.integers(528, 541))
     if family == 1:  # the whole set scaled into the underflow range
         s = rng.choice([1e-300, 1e-310, tiny])
@@ -252,7 +252,7 @@ def test_hostile_sets_match_the_cubic_scan():
 
 
 def test_one_tiny_coordinate_scans_in_bounded_memory():
-    # this set once took the cubic scan and its 8 n^2-byte pair table
+    # a coordinate far below 2^-347 costs no cubic scan and no n^2 table
     xs, ys = _uniform(600, 21)
     xs[17] = 1e-200
     tracemalloc.start()
