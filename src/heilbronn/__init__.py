@@ -13,17 +13,14 @@ from .coding import (
     DecodeError,
     baseline_length,
     nat_to_string,
-    pair,
     rank_arrangement,
     sd_bar,
     sd_prime,
     string_to_nat,
-    unpair,
     unrank_arrangement,
 )
 from .constructions import (
     OptimizerResult,
-    corners_plus_random,
     erdos_area_lower_bound,
     erdos_prime,
     optimize_heilbronn,
@@ -34,8 +31,6 @@ from .geometry import (
     PointSet,
     TriangleReport,
     UnitPoint,
-    collinear,
-    lattice_points_half_open,
     min_area_triangle,
     normalize_area,
     twice_signed_area,

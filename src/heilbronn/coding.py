@@ -8,7 +8,6 @@ that bijection:
 * ``sd_bar(x)``   = 1^len(x) 0 x                 (length 2*len(x) + 1)
 * ``sd_prime(x)`` = sd_bar(nat_to_string(len(x))) x
   (length len(x) + 2*floor(log2(len(x)+1)) + 1)
-* ``pair(x, y)``  = sd_prime(x) y   -- y's extent is the remaining stream
 
 Arrangements are ranked in the combinatorial number system over row-major
 cell ids, entirely in exact integer arithmetic, at a cost of one exact
@@ -191,19 +190,6 @@ def sd_unprime(reader: BitReader) -> BitString:
 def sd_prime_length(n: int) -> int:
     """Exact length of sd_prime on an n-bit payload."""
     return n + 2 * (n + 1).bit_length() - 1  # n + 2*floor(log2(n+1)) + 1
-
-
-def pair(x: BitString, y: BitString) -> BitString:
-    """<x, y> = sd_prime(x) y; total length l(y) + l(x) + 2 l(l(x)) + 1."""
-    return sd_prime(x) + y
-
-
-def unpair(z: BitString) -> tuple[BitString, BitString]:
-    """Split <x, y>: x is self-delimiting, y is the remainder of the stream."""
-    reader = BitReader(z)
-    x = sd_unprime(reader)
-    y = reader.read(reader.remaining)
-    return x, y
 
 
 def rank_combination(cells: tuple[int, ...], m: int) -> int:

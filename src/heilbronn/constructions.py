@@ -325,16 +325,3 @@ def optimize_heilbronn(
         raise AssertionError("optimizer value failed post-hoc verification")
     return OptimizerResult(points, verified, iterations, seed)
 
-
-def corners_plus_random(n: int, seed: int) -> PointSet:
-    """The four unit-square corners plus n-4 seeded uniform points: a
-    fixture whose minimum area is known to be at most 1/2."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    pts = [UnitPoint(0.0, 0.0), UnitPoint(1.0, 0.0), UnitPoint(0.0, 1.0), UnitPoint(1.0, 1.0)]
-    rng = stream_rng(seed, 0)
-    for _ in range(n - 4):
-        x = rng.uniform()
-        y = rng.uniform()
-        pts.append(UnitPoint(x, y))
-    return PointSet(tuple(pts))

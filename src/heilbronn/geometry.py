@@ -86,15 +86,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import asin, gcd
+from math import asin
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_GRID_SIDE = 1 << 30  # guarantees twice-areas fit in int64 intermediates
-
-#: default tolerance on |twice signed area| for continuous collinearity
-EPS_COLLINEAR = 1e-15
 
 #: elements per temporary array of a batched pass: a pivot chunk of
 #: ``_window_scan``, a slice of its candidate pairs, a row chunk or triple
@@ -192,11 +189,6 @@ class GridArrangement:
         """(n, 2) int64 array of (x, y) coordinates."""
         return np.array([(p.x, p.y) for p in self.points], dtype=np.int64)
 
-    def to_unit_points(self) -> "PointSet":
-        """Embed into the unit square with spacing 1/(K-1)."""
-        s = self.K - 1
-        return PointSet(tuple(UnitPoint(p.x / s, p.y / s) for p in self.points))
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -258,32 +250,6 @@ def twice_signed_area(p, q, r):
     (px, py), (qx, qy), (rx, ry) = _xy(p), _xy(q), _xy(r)
     _check_mode([(px, py), (qx, qy), (rx, ry)])
     return (qx - px) * (ry - py) - (qy - py) * (rx - px)
-
-
-def collinear(p, q, r, eps: float = EPS_COLLINEAR) -> bool:
-    """True iff p, q, r lie on one line.
-
-    Grid mode tests twice_signed_area == 0 exactly; continuous mode tests
-    |twice_signed_area| <= eps (default 1e-15).
-    """
-    t = twice_signed_area(p, q, r)
-    if isinstance(t, int):
-        return t == 0
-    return abs(t) <= eps
-
-
-def lattice_points_half_open(p, q) -> int:
-    """Number of lattice points on the half-open segment [p, q).
-
-    Equals gcd(|q.x - p.x|, |q.y - p.y|): the points are p + t*(q-p)/g for
-    t = 0..g-1.  Grid mode only; p == q is rejected.
-    """
-    (px, py), (qx, qy) = _xy(p), _xy(q)
-    if not all(isinstance(v, int) for v in (px, py, qx, qy)):
-        raise ValueError("lattice point counting requires integer grid points")
-    if (px, py) == (qx, qy):
-        raise ValueError("segment endpoints must differ")
-    return gcd(abs(qx - px), abs(qy - py))
 
 
 def normalize_area(twice_area, K: int) -> float:

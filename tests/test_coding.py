@@ -14,7 +14,6 @@ from heilbronn.coding import (
     baseline_length,
     ceil_log2,
     nat_to_string,
-    pair,
     rank_arrangement,
     rank_combination,
     sd_bar,
@@ -23,7 +22,6 @@ from heilbronn.coding import (
     sd_unbar,
     sd_unprime,
     string_to_nat,
-    unpair,
     unrank_arrangement,
     unrank_combination,
 )
@@ -142,33 +140,6 @@ class TestSelfDelimiting:
         words.sort()
         for a, b in zip(words, words[1:]):
             assert not b.startswith(a)
-
-
-class TestPairing:
-    def test_empty_pair(self):
-        assert pair(BitString(""), BitString("")).bits == "0"
-
-    def test_length_formula_example(self):
-        z = pair(BitString("0"), BitString("1"))
-        assert len(z) == 1 + 1 + 2 * 1 + 1  # l(y)+l(x)+2 l(l(x))+1
-
-    @given(bitstrings, bitstrings)
-    def test_length_identity(self, x, y):
-        llx = len(nat_to_string(len(x)))
-        assert len(pair(x, y)) == len(y) + len(x) + 2 * llx + 1
-
-    @given(bitstrings, bitstrings)
-    def test_round_trip(self, x, y):
-        assert unpair(pair(x, y)) == (x, y)
-
-    def test_thousand_random_pairs(self):
-        from heilbronn.rng import stream_rng
-
-        rng = stream_rng(4, 0)
-        for _ in range(1000):
-            x = BitString("".join("01"[rng.below(2)] for _ in range(rng.below(40))))
-            y = BitString("".join("01"[rng.below(2)] for _ in range(rng.below(40))))
-            assert unpair(pair(x, y)) == (x, y)
 
 
 class TestBitStringSerialization:

@@ -16,7 +16,6 @@ from heilbronn.constructions import (
     _Restart,
     _through,
     _triples,
-    corners_plus_random,
     erdos_area_lower_bound,
     erdos_prime,
     is_prime,
@@ -340,19 +339,3 @@ class TestMoveOrder:
         assert sum(map(len, climb.through)) == n * math.comb(n - 1, 2)
         assert_state_is_recount(climb)
 
-
-class TestCornersPlusRandom:
-    def test_exact_corners(self):
-        ps = corners_plus_random(4, seed=0)
-        assert {(p.x, p.y) for p in ps.points} == {(0, 0), (1, 0), (0, 1), (1, 1)}
-        assert min_area_triangle(ps).area == 0.5
-
-    def test_extra_point_cannot_increase(self):
-        assert min_area_triangle(corners_plus_random(5, seed=1)).area <= 0.5
-
-    def test_deterministic(self):
-        assert corners_plus_random(7, seed=2) == corners_plus_random(7, seed=2)
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            corners_plus_random(3, seed=0)

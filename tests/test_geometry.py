@@ -9,8 +9,6 @@ from heilbronn.geometry import (
     GridPoint,
     PointSet,
     UnitPoint,
-    collinear,
-    lattice_points_half_open,
     min_area_triangle,
     normalize_area,
     twice_signed_area,
@@ -62,56 +60,6 @@ class TestTwiceSignedArea:
 
     def test_float_mode(self):
         assert twice_signed_area((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)) == 1.0
-
-
-class TestCollinear:
-    def test_diagonal(self):
-        assert collinear((0, 0), (1, 1), (2, 2))
-
-    def test_independent_triangle(self):
-        assert not collinear((0, 0), (1, 0), (0, 1))
-
-    def test_exact_determinant_zero(self):
-        assert collinear((0, 0), (3, 1), (6, 2))
-
-    def test_continuous_tolerance(self):
-        assert collinear((0.0, 0.0), (0.5, 0.5 + 1e-16), (1.0, 1.0))
-        assert not collinear((0.0, 0.0), (0.5, 0.51), (1.0, 1.0))
-
-    @given(point, point, point)
-    def test_grid_equivalence(self, p, q, r):
-        assert collinear(p, q, r) == (twice_signed_area(p, q, r) == 0)
-
-
-class TestLatticePoints:
-    def test_paper_segment(self):
-        # (0,0)->(6,4): lattice points (0,0) and (3,2)
-        assert lattice_points_half_open(GridPoint(0, 0), GridPoint(6, 4)) == 2
-
-    def test_primitive_step(self):
-        assert lattice_points_half_open(GridPoint(0, 0), GridPoint(1, 0)) == 1
-
-    def test_gcd_oracle(self):
-        from math import gcd
-
-        assert lattice_points_half_open(GridPoint(0, 0), GridPoint(12, 18)) == 6
-        assert gcd(12, 18) == 6
-
-    def test_rejects_equal_points(self):
-        with pytest.raises(ValueError):
-            lattice_points_half_open(GridPoint(3, 3), GridPoint(3, 3))
-
-    def test_rejects_float_points(self):
-        with pytest.raises(ValueError, match="^lattice point counting requires integer grid points$"):
-            lattice_points_half_open((0.0, 0.0), (1.0, 1.0))
-
-    @given(point, point, point)
-    def test_g_divides_every_form_value(self, p, q, r):
-        # the linear form values over lattice points are multiples of g
-        if p == q:
-            return
-        g = lattice_points_half_open(GridPoint(*p), GridPoint(*q))
-        assert twice_signed_area(p, q, r) % g == 0
 
 
 class TestNormalizeArea:
@@ -286,8 +234,3 @@ class TestDomainTypes:
     def test_cells_are_row_major(self):
         a = GridArrangement.from_points(4, [(2, 1), (0, 0), (3, 3)])
         assert a.cells() == (0, 6, 15)
-
-    def test_unit_embedding(self):
-        a = GridArrangement.from_points(5, [(0, 0), (4, 2)])
-        ps = a.to_unit_points()
-        assert ps.points[1] == UnitPoint(1.0, 0.5)

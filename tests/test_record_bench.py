@@ -94,3 +94,22 @@ def test_summarize_flags_a_median_worse_than_the_bound_higher(change_ok, regress
     runs = {"parent": [result(1.0) for _ in range(3)],
             "change": [result(1.0, ok_rate=change_ok) for _ in range(3)]}
     assert record_bench.summarize(runs, END_TO_END)["regressed"] == regressed
+
+
+def test_main_keeps_the_first_three_errors_of_each_run(monkeypatch, tmp_path):
+    errors = [f"op {i}: wrong" for i in range(5)]
+
+    def run_once(root, workload, seed, seconds):
+        failed = seed == 1 and root == tmp_path
+        detail = {"machine": {"cpus": 2}, "errors": errors if failed else []}
+        return detail, result(1.0, ok_rate=0.99 if failed else 1.0, correct=not failed)
+
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    monkeypatch.setattr(record_bench, "code_id", lambda root: {"commit": str(root)})
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--parent", str(tmp_path), "--change", str(_PATH.parents[1]),
+                              "--out", str(out), "--workload", "codec_rowline", "--seeds", "1,2"]) == 0
+    runs = json.loads(out.read_text())["workloads"]["codec_rowline"]["runs"]
+    assert [r["errors"] for r in runs["parent"]] == [errors[:3], []]
+    assert [r["errors"] for r in runs["change"]] == [[], []]
+    assert [r["correct"] for r in runs["parent"]] == [False, True]

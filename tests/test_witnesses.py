@@ -1,6 +1,6 @@
 import re
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from heilbronn.geometry import (
     MAX_GRID_SIDE,
     GridArrangement,
     GridPoint,
-    lattice_points_half_open,
     min_area_triangle,
     twice_signed_area,
 )
@@ -149,7 +148,7 @@ class TestSmallTriangleGeometry:
             except ValueError:
                 continue  # collinear
             assert geo.f * geo.g == geo.T
-            assert geo.g == lattice_points_half_open(geo.P, geo.Q)
+            assert geo.g == gcd(geo.Q.x - geo.P.x, geo.Q.y - geo.P.y)
             # PQ is a longest side
             d2 = lambda u, v: (u.x - v.x) ** 2 + (u.y - v.y) ** 2
             pq = d2(geo.P, geo.Q)

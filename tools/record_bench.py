@@ -13,8 +13,9 @@ once in each checkout, back to back, alternating which side goes first
 from one pair to the next; T is BENCHMARK.json's ``run_seconds``.  The runs
 are sequential, so the two sides never share the machine.  The file holds
 the machine record of the first run, the code each side ran (see
-``code_id``), the seeds, each run's metrics in seed order and, per workload,
-the summary of BENCHMARK.json's end-to-end metrics (see ``summarize``).
+``code_id``), the seeds, each run's metrics and first three error strings
+in seed order and, per workload, the summary of BENCHMARK.json's
+end-to-end metrics (see ``summarize``).
 """
 
 from __future__ import annotations
@@ -136,13 +137,14 @@ def main(argv=None) -> int:
             for side in order:
                 detail, result = run_once(roots[side], workload, seed, seconds)
                 record["machine"] = record["machine"] or detail["machine"]
-                runs[side].append(result)
+                runs[side].append(result | {"errors": detail["errors"][:3]})
                 print(f"{workload} seed {seed} {side}: op_cost {result['metrics']['op_cost']['value']:.6g}"
                       f" correct {result['correct']}", file=sys.stderr)
             pair += 1
         record["workloads"][workload] = {
             "summary": summarize(runs, spec["end_to_end"]),
-            "runs": {side: [{m: r["metrics"][m]["value"] for m in metrics} | {"correct": r["correct"]}
+            "runs": {side: [{m: r["metrics"][m]["value"] for m in metrics}
+                            | {"correct": r["correct"], "errors": r["errors"]}
                             for r in runs[side]] for side in SIDES},
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
