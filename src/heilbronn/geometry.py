@@ -56,13 +56,12 @@ r_j = |d_j|, and the value of a pair (j, k) the computed
   min(max(1, B // w), w - 1) <= sqrt(B) pivots for B = ``_BLOCK_ELEMENTS``
   and w points after the chunk's first pivot (at most 127 at B = 2^14),
   so a key stays below 2^10 and rounds by less than 2^-43.
-* **Where no window applies.**  Int64 grid coordinates spanning less than
-  2^31 make every value exact.  A set that fails ``_window_exact`` (wider
-  int64 coordinates, whose products may wrap, or floats past 2^399) has
-  alpha = -1 and rho^2 = inf: every point is short, so every pair is a
-  candidate, evaluated in slices like any other.  (Floats past about
-  2^511 can make a value inf - inf = NaN, which has no minimum; no caller
-  passes them.)
+* **Inputs.**  int64 coordinates spanning less than 2^31 (every value exact)
+  or floats of magnitude at most 2^399; ``_window_scan`` raises
+  ``ValueError`` on any other set, and the all-triples pass trusts the range
+  unchecked.  No caller leaves it: ``MAX_GRID_SIDE`` is 2^30, a ``PointSet``
+  lies in the unit square, and Monte Carlo rows are uniforms or grid
+  coordinates below 2^30.
 
 The minimal triples have value <= U, so all of them are candidates, and
 the smallest candidate (value, i, j, k) in lexicographic order is the
@@ -300,10 +299,8 @@ def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
 
 
 def _window_exact(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """True when no product of two differences in ``_window_scan`` can
-    wrap or overflow: int64 coordinates spanning less than 2^31 (every
-    cross is exact), or floats of magnitude at most 2^399, whose
-    differences stay within 2^400."""
+    """True for a set in the module docstring's range, where no product of
+    two differences in ``_window_scan`` can wrap or overflow."""
     if xs.dtype.kind != "f":
         return all(int(v.max()) - int(v.min()) < 1 << 31 for v in (xs, ys))
     return bool(np.abs(np.stack((xs, ys))).max() <= 2.0**399)
@@ -328,9 +325,10 @@ def _runs(starts: np.ndarray, stops: np.ndarray):
 
 def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]:
     """Lexicographically first minimal triple (i, j, k, |cross|) of one
-    float64 or int64 point set, evaluating only the candidate triples of
-    the module docstring; bit-identical to |cross| over all C(n, 3)
-    triples reduced to its first minimum.
+    float64 or int64 point set (``ValueError`` outside the module
+    docstring's range), evaluating only the candidate triples of that
+    docstring; bit-identical to |cross| over all C(n, 3) triples reduced
+    to its first minimum.
 
     Pivots run in chunks of consecutive points, each a (c, w) block of
     differences of about ``_BLOCK_ELEMENTS`` elements (row r is pivot
@@ -338,9 +336,10 @@ def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]
     bound U that only decreases.  A chunk lists its valid points row by
     row in direction order (the "flat order"); a window pair is two flat
     positions whose keys, direction + 8 * row, differ by at most alpha."""
+    if not _window_exact(xs, ys):
+        raise ValueError("window scan needs int64 spanning < 2^31 or |float| <= 2^399")
     n = xs.shape[0]
-    exact = _window_exact(xs, ys)
-    alpha = asin(1.0 / n + _GAMMA) + _PAD if exact else -1.0
+    alpha = asin(1.0 / n + _GAMMA) + _PAD
     bound = best = None
     a = 0
     while a < n - 2:
@@ -428,7 +427,7 @@ def _window_scan(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int, int, object]
         # the pairs across pi/2, and each short point with the rest of its row
         wp = live(wp)
         wrap = np.maximum(np.searchsorted(key, key[wp] + (np.pi - alpha)), wp + 1)
-        rho2 = max(float(bound) * n, 2.0**-1000) * (1 + 2.0**-20) if exact else np.inf
+        rho2 = max(float(bound) * n, 2.0**-1000) * (1 + 2.0**-20)
         sh = live(np.flatnonzero(dx * dx + dy * dy <= rho2))
         sh_row = flat[sh] // w
         starts = np.concatenate((wrap, first[sh_row], sh + 1))
@@ -453,25 +452,27 @@ def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     The pass takes each pair's differences, then the cross of every
     triple (i, j, k) from the differences of its pairs (i, j) and (i, k)
     (``_triple_table``), with the operands and order of
-    ``_min_triple_exhaustive``.
+    ``_min_triple_exhaustive``.  xs and ys share one dtype, float64 or
+    int64; the pass trusts the module docstring's range without a check,
+    which per block would cost time on small rows.
     A chunk holds ``_BLOCK_ELEMENTS // C(n, 3)`` rows, or one row whose
     triples are read in slices of ``_BLOCK_ELEMENTS``, so each temporary
     stays near ``_BLOCK_ELEMENTS`` elements."""
     if xs.shape[1] < 3:
         raise ValueError("need at least 3 points for a triangle")
-    dtype = np.result_type(xs, ys)
+    if xs.dtype != ys.dtype:
+        raise ValueError("xs and ys must share one dtype")
     if xs.shape[1] >= _WINDOW_MIN_N:
-        return np.array([_window_scan(x, y)[3] for x, y in zip(xs, ys)], dtype=dtype)
+        return np.array([_window_scan(x, y)[3] for x, y in zip(xs, ys)], dtype=xs.dtype)
     pi, pj, ta, tb = _triple_table(xs.shape[1])
     step = max(1, _BLOCK_ELEMENTS // ta.size)
     xs = np.ascontiguousarray(xs)  # gathers from strided views are slower
     ys = np.ascontiguousarray(ys)
-    out = np.empty(xs.shape[0], dtype=dtype)
+    out = np.empty(xs.shape[0], dtype=xs.dtype)
     for r in range(0, xs.shape[0], step):
         x, y = xs[r : r + step], ys[r : r + step]
-        # mixed dtypes cast the differences, as the products would
-        dx = (x.take(pj, axis=1) - x.take(pi, axis=1)).astype(dtype, copy=False)
-        dy = (y.take(pj, axis=1) - y.take(pi, axis=1)).astype(dtype, copy=False)
+        dx = x.take(pj, axis=1) - x.take(pi, axis=1)
+        dy = y.take(pj, axis=1) - y.take(pi, axis=1)
         best = None
         for s in range(0, ta.size, _BLOCK_ELEMENTS):
             a, b = ta[s : s + _BLOCK_ELEMENTS], tb[s : s + _BLOCK_ELEMENTS]

@@ -64,13 +64,12 @@ def _mix64_array(z: np.ndarray) -> None:
     z ^= t
 
 
-def _stream_words(states: np.ndarray, first: int, width: int) -> np.ndarray:
-    """(len(states), width) uint64 array: row r holds words first ..
-    first + width - 1 of the stream with state ``states[r]``, word k
-    being the finalizer of ``states[r] + k * GOLDEN``."""
-    steps = np.arange(width, dtype=np.uint64)
+def _stream_words(states: np.ndarray, width: int) -> np.ndarray:
+    """(len(states), width) uint64 array: row r holds words 1 .. width of
+    the stream with state ``states[r]``, word k being the finalizer of
+    ``states[r] + k * GOLDEN``."""
+    steps = np.arange(1, width + 1, dtype=np.uint64)
     steps *= _GOLDEN_U64
-    steps += np.uint64(first * GOLDEN & MASK64)
     words = states[:, None] + steps
     _mix64_array(words)
     return words
@@ -88,7 +87,7 @@ class SplitMix64:
     def take(self, k: int) -> list[int]:
         """The next k words, first word first, as k ``next64()`` calls
         would return them, from one ``_stream_words`` call."""
-        words = _stream_words(np.array([self._state], dtype=np.uint64), 1, k)[0].tolist()
+        words = _stream_words(np.array([self._state], dtype=np.uint64), k)[0].tolist()
         self._state = (self._state + k * GOLDEN) & MASK64
         return words
 
@@ -126,7 +125,7 @@ def word_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     _mix64_array(state)
     state ^= np.uint64(seed & MASK64)
     _mix64_array(state)  # derive_seed(seed, start + r)
-    return _stream_words(state, 1, width)
+    return _stream_words(state, width)
 
 
 def uniform_block(seed: int, start: int, stop: int, width: int) -> np.ndarray:

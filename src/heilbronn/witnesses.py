@@ -605,7 +605,7 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
 
     rows_bits = _combination_bits(a.rows(), K)  # distinct rows, ascending
 
-    by_row_desc = sorted(a.points, key=lambda p: -p.y)
+    by_row_desc = a.points[::-1]  # row-major, on distinct rows
     upper = by_row_desc[: n // 2]
     lower = by_row_desc[n // 2 :]
 

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from heilbronn.geometry import (
+    MAX_GRID_SIDE,
     GridArrangement,
     GridPoint,
     PointSet,
@@ -107,7 +108,9 @@ class TestMinAreaTriangle:
         fa = min_area_triangle(ps, mode="fast")
         assert (fa.i, fa.j, fa.k, fa.twice_area) == (ex.i, ex.j, ex.k, ex.twice_area)
 
-    @pytest.mark.parametrize("K,n,seed", [(8, 6, 1), (64, 12, 2), (1 << 20, 24, 3)])
+    @pytest.mark.parametrize(
+        "K,n,seed", [(8, 6, 1), (64, 12, 2), (1 << 20, 24, 3), (MAX_GRID_SIDE, 24, 4)]
+    )
     def test_fast_equals_exhaustive_grid(self, K, n, seed):
         a = random_arrangement(K, n, seed)
         ex = min_area_triangle(a, mode="exhaustive")

@@ -18,6 +18,7 @@ import pytest
 from heilbronn import geometry
 from heilbronn.geometry import (
     _WINDOW_MIN_N,
+    _min_triple_exhaustive,
     _window_scan,
     min_twice_area_rows,
 )
@@ -206,14 +207,31 @@ def test_near_line_without_zero(curve):
 
 def test_inputs_outside_the_rounding_model_fall_back():
     # products of these differences underflow, which the short-radius
-    # floor absorbs; the int64 products may wrap, so every pair is evaluated
+    # floor absorbs
     xs, ys = _uniform(80, 3)
     xs *= 1e-300
     assert geometry._window_exact(xs, ys)
     _same(xs, ys)
+    # past the exact range int64 products may wrap and float ones overflow,
+    # so the scan refuses the set
     big = np.array([0, 1 << 40, 3, 5, (1 << 40) + 7], dtype=np.int64)
-    assert not geometry._window_exact(big, big[::-1].copy())
-    _same(big, big[::-1].copy())
+    with pytest.raises(ValueError, match="2\\^31"):
+        _window_scan(big, big[::-1].copy())
+    for scale in (2.0**450, 2.0**520):
+        xs, ys = _uniform(50, 3)
+        with pytest.raises(ValueError, match="2\\^399"):
+            _window_scan(xs * scale, ys * scale)
+    # the int64 boundary: a span of 2^31 - 1 is exact, one of 2^31 is refused
+    rng = np.random.default_rng(31)
+    top = (1 << 31) - 1
+    xs, ys = rng.integers(0, top, 12), rng.integers(0, top, 12)
+    xs[[2, 7]], ys[[4, 9]] = (0, top), (top, 0)
+    want = _min_triple_exhaustive(xs.tolist(), ys.tolist())
+    got = _window_scan(xs, ys)
+    assert got[:3] == want[:3] and int(got[3]) == want[3]
+    xs[7] += 1
+    with pytest.raises(ValueError, match="2\\^31"):
+        _window_scan(xs, ys)
 
 
 def _hostile(rng, family, n):
