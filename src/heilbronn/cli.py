@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from .coding import DecodeError, baseline_length, rank_arrangement, unrank_arrangement
+from .coding import baseline_length, rank_arrangement, unrank_arrangement
 from .constructions import _erdos_checked, erdos_area_lower_bound, optimize_heilbronn
 from .formats import (
     FormatError,
@@ -335,7 +335,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, DecodeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # a library self-check (optimizer, erdos_prime) failed

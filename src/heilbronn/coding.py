@@ -325,12 +325,17 @@ def unrank_arrangement(index: int | ArrangementIndex, K: int, n: int) -> GridArr
     return GridArrangement.from_cells(K, unrank_combination(value, n, K * K))
 
 
-@lru_cache(maxsize=64)
-def baseline_length(K: int, n: int) -> int:
-    """ceil(log2 C(K^2, n)): bits needed to index an arbitrary arrangement.
+@lru_cache(maxsize=128)
+def _comb_bits(m: int, k: int) -> int:
+    """ceil(log2 C(m, k)), the width of a rank among the k-subsets of
+    range(m).  Cached, as a bit count: every codec round trip at one
+    (K, n) asks for the same few widths, and C(2^40, 200) alone takes
+    about 0.1 ms."""
+    return ceil_log2(comb(m, k))
 
-    Cached, as a bit count: every codec round trip at one (K, n) asks for
-    it, and C(2^40, 200) alone takes about 0.1 ms."""
+
+def baseline_length(K: int, n: int) -> int:
+    """ceil(log2 C(K^2, n)): bits needed to index an arbitrary arrangement."""
     if n > K * K:
         raise ValueError("n exceeds the number of grid cells")
-    return ceil_log2(comb(K * K, n))
+    return _comb_bits(K * K, n)

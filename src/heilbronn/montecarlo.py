@@ -14,11 +14,11 @@ one row at a time).  Since every trial is its own row, no result depends
 on the block or chunk size.  A run keeps its areas in one
 float64 array, 8 bytes a trial.
 
-A grid trial is its sorted cell ids y*K + x (``_grid_cells``), and a
-block of them one int64 array, drawn in one ``word_block`` call: the
+A grid trial is its sorted cell ids y*K + x, and a block of them one
+int64 array, drawn in one ``word_block`` call (``_grid_cell_block``): the
 first n words of each trial's stream, shifted as ``below(K * K)`` shifts
 them, are its cells unless one is rejected (>= K^2) or repeated, and only
-such rows rerun the scalar rejection loop (``_grid_cell_block``).
+such rows rerun the scalar rejection loop.
 
 The headline experiment sweeps n and fits the exponent of the mean
 smallest triangle area, which scales like 1/n^3 for uniform random
@@ -61,38 +61,32 @@ def sample_unit_square(n: int, seed: int, stream_id: int) -> PointSet:
     return PointSet(tuple(UnitPoint(x, y) for x, y in zip(u[0::2], u[1::2])))
 
 
-def _grid_cells(K: int, n: int, seed: int, stream_id: int) -> list[int]:
-    """Sorted cell ids of a uniform arrangement of n pebbles on the K x K
-    grid: rejection-sample distinct cells, which is exchangeable and
-    therefore uniform on the cell set."""
-    check_grid(K, n)
-    rng = stream_rng(seed, stream_id)
-    cells: set[int] = set()
-    while len(cells) < n:
-        cells.add(rng.below(K * K))
-    return sorted(cells)
-
-
 def _grid_cell_block(K: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, n) int64 array; row r holds ``_grid_cells(K, n, seed,
-    start + r)``.  The first n words of each stream, shifted to the top bits
-    that ``below(K * K)`` keeps, are that row's cells whenever all of them
-    fall below K^2 and are distinct; any other row is redrawn by
-    ``_grid_cells``."""
+    """(stop - start, n) int64 array; row r holds the sorted cells of a
+    uniform arrangement of n pebbles on the K x K grid, drawn from stream
+    (seed, start + r) by rejection: ``below(K * K)`` until n distinct cells,
+    which is exchangeable and therefore uniform on the cell set.  The first
+    n words of each stream, shifted to the top bits that ``below(K * K)``
+    keeps, are that row's cells whenever all of them fall below K^2 and are
+    distinct; any other row reruns the scalar loop."""
     check_grid(K, n)
     bits = (K * K - 1).bit_length()
     cells = (word_block(seed, start, stop, n) >> np.uint64(64 - bits)).astype(np.int64)
     cells.sort(axis=1)
     redraw = (cells >= K * K).any(axis=1) | (cells[:, 1:] == cells[:, :-1]).any(axis=1)
     for r in np.flatnonzero(redraw).tolist():
-        cells[r] = _grid_cells(K, n, seed, start + r)
+        rng = stream_rng(seed, start + r)
+        row: set[int] = set()
+        while len(row) < n:
+            row.add(rng.below(K * K))
+        cells[r] = sorted(row)
     return cells
 
 
 def sample_grid_arrangement(K: int, n: int, seed: int, stream_id: int) -> GridArrangement:
-    """Uniform over all C(K^2, n) arrangements: the cells ``_grid_cells``
-    draws from stream (seed, stream_id)."""
-    cells = _grid_cells(K, n, seed, stream_id)
+    """Uniform over all C(K^2, n) arrangements: row 0 of the one-row block
+    ``_grid_cell_block`` draws from stream (seed, stream_id)."""
+    cells = _grid_cell_block(K, n, seed, stream_id, stream_id + 1)[0].tolist()
     return GridArrangement.from_cells(K, cells)
 
 

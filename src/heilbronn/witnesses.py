@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .coding import (
     BitReader,
     BitString,
     DecodeError,
+    _comb_bits,
     baseline_length,
     ceil_log2,
     nat_to_string,
@@ -137,14 +137,6 @@ def find_shared_row_pair(a: GridArrangement) -> Optional[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # shared codec helpers
-
-
-@lru_cache(maxsize=64)
-def _comb_bits(m: int, k: int) -> int:
-    """ceil(log2 C(m, k)), the width of a ranked field of k cells of
-    range(m); cached, as a bit count, since a codec reads the same few
-    widths on every round trip and C(2^40, 199) alone takes about 0.1 ms."""
-    return ceil_log2(comb(m, k))
 
 
 def _combination_bits(cells: Sequence[int], m: int) -> BitString:

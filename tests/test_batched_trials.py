@@ -30,6 +30,7 @@ from heilbronn.montecarlo import (
     tail_probability,
 )
 from heilbronn.rng import derive_seed, stream_rng, uniform_block
+from conftest import random_arrangement
 from pivot_oracle import _pivot_scan
 
 SEEDS = [0, 2**64 - 1, derive_seed(2024, 7)]
@@ -215,16 +216,16 @@ def _per_trial_recount(K, n, trials, seed):
 
 
 def _count_redraws(monkeypatch) -> list[int]:
-    """Patch ``montecarlo._grid_cells`` to record the stream of every row
+    """Patch ``montecarlo.stream_rng`` to record the stream of every row
     that a grid block redraws with the scalar loop."""
     streams = []
-    scalar = montecarlo._grid_cells
+    scalar = montecarlo.stream_rng
 
-    def counted(K, n, seed, stream_id):
+    def counted(seed, stream_id):
         streams.append(stream_id)
-        return scalar(K, n, seed, stream_id)
+        return scalar(seed, stream_id)
 
-    monkeypatch.setattr(montecarlo, "_grid_cells", counted)
+    monkeypatch.setattr(montecarlo, "stream_rng", counted)
     return streams
 
 
@@ -239,13 +240,21 @@ class TestGridBlock:
     @pytest.mark.parametrize("K,n,redraws", GRIDS)
     def test_rows_are_the_scalar_draws(self, monkeypatch, K, n, redraws):
         seed = derive_seed(9, K)
-        want = [montecarlo._grid_cells(K, n, seed, t) for t in range(40, 100)]
+        want = [list(random_arrangement(K, n, seed, t).cells()) for t in range(40, 100)]
         redrawn = _count_redraws(monkeypatch)
         block = montecarlo._grid_cell_block(K, n, seed, 40, 100)
         assert block.dtype == np.int64 and block.shape == (60, n)
         assert block.tolist() == want
         assert bool(redrawn) == redraws
         assert set(redrawn) <= set(range(40, 100))
+
+    @pytest.mark.parametrize("K,n", [(3, 5), (1000, 40), (2**30, 16)])
+    def test_sampler_wraps_streams(self, K, n):
+        # streams -1 and 2^64 - 1 are one stream, read by the one-row
+        # blocks [-1, 0) and [2^64 - 1, 2^64)
+        seed = derive_seed(9, K)
+        for stream in (-1, 2**64 - 1):
+            assert sample_grid_arrangement(K, n, seed, stream) == random_arrangement(K, n, seed, stream)
 
     @pytest.mark.parametrize("K,n", [(1, 0), (2**30 + 1, 3), (3, 10), (4, -1)])
     def test_rejects_what_grid_cells_rejects(self, K, n):

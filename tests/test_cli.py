@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from heilbronn import cli, coding, witnesses
+from heilbronn import cli, coding
 from heilbronn.cli import run
 from heilbronn.formats import save_grid, save_pointset
 from heilbronn.geometry import GridArrangement, PointSet
@@ -361,7 +361,6 @@ class TestWitnessCommands:
 
         monkeypatch.setattr(coding, "comb", refuse)
         monkeypatch.setattr(coding, "perm", refuse)
-        monkeypatch.setattr(witnesses, "comb", refuse)
         wit_path = tmp_path / "big.hw1"
         wit_path.write_text(header + "\n0:\n")
         kind = header.split()[1]

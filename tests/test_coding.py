@@ -314,7 +314,7 @@ class TestCachedBaseline:
             return real(m, k)
 
         monkeypatch.setattr(coding, "comb", counted)
-        baseline_length.cache_clear()
+        coding._comb_bits.cache_clear()
         first = [baseline_length(1024, 8), baseline_length(2**20, 200)]
         assert [baseline_length(1024, 8), baseline_length(2**20, 200)] == first
         assert first == [ceil_log2(comb(1024**2, 8)), ceil_log2(comb(2**40, 200))]

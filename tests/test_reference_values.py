@@ -1,13 +1,17 @@
-"""Grid statistics against values derived from combinatorics, not from the
-code: the shared-row fraction exactly, the collinear fraction by a bound."""
+"""Statistics against values derived from mathematics, not from the code:
+the grid's shared-row fraction exactly and its collinear fraction by a
+bound, the mean smallest area of uniform points against its n -> infinity
+limit, and the optimizer against proved Heilbronn numbers."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
 import pytest
 
-from heilbronn.montecarlo import degenerate_structure_stats
+from heilbronn.constructions import optimize_heilbronn
+from heilbronn.montecarlo import degenerate_structure_stats, estimate_mu
 
 CASES = [(16, 6), (64, 16), (256, 24)]
 TRIALS = 20_000
@@ -68,3 +72,32 @@ def test_collinear_fraction_within_markov_bound(stats, K, n):
     E = comb(n, 3) * collinear_triples(K) / comb(K * K, 3)
     q = min(E, 0.5)
     assert stats[K, n].collinear_fraction <= E + Z_MAX * sqrt(q * (1 - q) / TRIALS)
+
+
+def test_scaled_mean_smallest_area_near_its_limit():
+    """For n uniform points in the unit square, n^3 A tends to Exp(rate 2),
+    so n^3 mu_n -> 1/2 (Grimmett & Janson, "On smallest triangles", 2003;
+    the constant is derived in ROADMAP item 10).  At finite n the mean sits
+    above the limit by about 2.3/n (measured over n = 16 ... 256), so the
+    centre is at most c = 1/2 + 2.3/64 = 0.536 at n = 64.  The limit law has
+    sd = mean, and the measured sd/mean stayed within 1.07, so one standard
+    error of 2000 trials is at most s = 1.1 c / sqrt(2000) = 0.0132.  The
+    band is [1/2 - 4 s, c + 4 s] = [0.447, 0.589]: it allows any excess in
+    [0, 2.3/n] and four standard errors on either side."""
+    n, trials = 64, 2000
+    c = 0.5 + 2.3 / n
+    s = 1.1 * c / sqrt(trials)
+    scaled = n**3 * estimate_mu(n, trials, seed=280064).mean  # seed used by no other test
+    assert 0.5 - 4 * s <= scaled <= c + 4 * s
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_optimizer_never_beats_proved_heilbronn_numbers(seed):
+    """No n points of the unit square have every triangle larger than the
+    Heilbronn number H_n, and H_5 = sqrt(3)/9, H_6 = 1/8 are proved (as
+    surveyed by Comellas & Yebra, 2002).  A reported value is an exact
+    binary fraction, so value <= sqrt(3)/9 is checked exactly as
+    81 value^2 <= 3."""
+    five = Fraction(optimize_heilbronn(5, 12, 4000, seed).value)
+    assert 81 * five**2 <= 3
+    assert Fraction(optimize_heilbronn(6, 12, 4000, seed).value) <= Fraction(1, 8)

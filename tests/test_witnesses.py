@@ -376,11 +376,9 @@ class TestDecodeErrors:
             raise AssertionError("decode computed a binomial")
 
         # cached widths would hide a binomial computed before the length check
-        witnesses._comb_bits.cache_clear()
-        coding.baseline_length.cache_clear()
+        coding._comb_bits.cache_clear()
         monkeypatch.setattr(coding, "comb", refuse)
         monkeypatch.setattr(coding, "perm", refuse)
-        monkeypatch.setattr(witnesses, "comb", refuse)
         for bits in ("", "0" * 64):
             with pytest.raises(DecodeError):
                 decode_witness(kind, BitString(bits), K, n)
@@ -413,7 +411,7 @@ class TestDecodeErrors:
 class TestCombBits:
     @pytest.mark.parametrize("m, k", [(1, 0), (2, 1), (6, 2), (3, 2), (2**40, 199), (2**20, 200)])
     def test_matches_the_binomial(self, m, k):
-        assert witnesses._comb_bits(m, k) == ceil_log2(comb(m, k))
+        assert coding._comb_bits(m, k) == ceil_log2(comb(m, k))
 
     def test_repeated_round_trips_compute_each_width_once(self, monkeypatch):
         calls = []
@@ -422,8 +420,8 @@ class TestCombBits:
             calls.append((m, k))
             return comb(m, k)
 
-        monkeypatch.setattr(witnesses, "comb", counted)
-        witnesses._comb_bits.cache_clear()
+        monkeypatch.setattr(coding, "comb", counted)
+        coding._comb_bits.cache_clear()
         a = GridArrangement.from_points(64, [(0, 0), (1, 1), (2, 2), (7, 40), (50, 3)])
         payloads = []
         for _ in range(3):
@@ -431,8 +429,9 @@ class TestCombBits:
             assert witnesses.decode_witness("collinear", rep.payload, 64, 5) == a
             payloads.append(rep.payload)
         assert len(set(payloads)) == 1
-        assert sorted(calls) == [(4, 2), (64**2, 4)]
+        # the two ranked fields and the baseline, each once
+        assert sorted(calls) == [(4, 2), (64**2, 4), (64**2, 5)]
 
     def test_an_empty_domain_still_raises(self):
         with pytest.raises(ValueError, match="^ceil_log2 requires a positive integer$"):
-            witnesses._comb_bits(1, 2)
+            coding._comb_bits(1, 2)
