@@ -13,8 +13,9 @@ There are three triple scans, all exact and all returning the same bits:
 * ``_min_triple_exhaustive``, the pure-Python reference (test oracle,
   ``mode="exhaustive"`` and the optimizer's final re-verification);
 * the all-triples pass of ``min_twice_area_rows`` on rows of fewer than
-  ``_WINDOW_MIN_N`` points: every triple of a chunk of rows at once,
-  from the pair differences and ``_triple_table``;
+  ``_WINDOW_MIN_N`` points: every triple of a chunk of rows at once, the
+  chunk laid out trials-last and its triples read in slices, each from
+  the differences of its own range of pairs (``_triple_table``);
 * ``_window_scan``, which evaluates only the triples an angular window
   and a computed bound cannot rule out.  ``min_area_triangle(mode="fast")``
   uses it for every set, and ``min_twice_area_rows`` row by row from
@@ -85,7 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import asin
+from math import asin, isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,9 +94,9 @@ import numpy as np
 MAX_GRID_SIDE = 1 << 30  # guarantees twice-areas fit in int64 intermediates
 
 #: elements per temporary array of a batched pass: a pivot chunk of
-#: ``_window_scan``, a slice of its candidate pairs, a row chunk or triple
-#: slice of ``min_twice_area_rows``, and the uniforms of a block of Monte
-#: Carlo trials (``montecarlo._block_trials``)
+#: ``_window_scan``, a slice of its candidate pairs, a triple slice of a
+#: row chunk of ``min_twice_area_rows``, and the uniforms of a block of
+#: Monte Carlo trials (``montecarlo._block_trials``)
 _BLOCK_ELEMENTS = 1 << 14
 #: the rounding term of the window: 3 units of float64 roundoff, 3 * 2^-53
 _GAMMA = 3 * 2.0**-53
@@ -103,7 +104,7 @@ _GAMMA = 3 * 2.0**-53
 _PAD = 1e-9
 #: rows of ``min_twice_area_rows`` with this many points take ``_window_scan``
 #: one at a time; fewer take the all-triples pass a chunk of rows at once.
-#: The measured break-even is near n = 72; 60 is kept (README).
+#: The measured break-even is near n = 77; 60 is kept (README).
 _WINDOW_MIN_N = 60
 
 
@@ -259,20 +260,34 @@ def normalize_area(twice_area, K: int) -> float:
 
 
 @lru_cache(maxsize=4)
-def _triple_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(I, J, A, B): the C(n, 2) pairs (I, J), I < J, of n points in
-    row-major order, and for the C(n, 3) triples i < j < k in lexicographic
-    order the ids A of (i, j) and B of (i, k) in that list, about
-    16 C(n, 3) bytes.
+def _triple_table(n: int, block: int) -> tuple[int, tuple[tuple[np.ndarray, ...], ...]]:
+    """(rows, slices): the chunk and slice plan of the all-triples pass at
+    n points and a block of ``block`` elements.
+
+    A chunk holds rows = max(isqrt(block), block // (C(n, 2) + C(n, 3)))
+    trials, and its C(n, 3) triples i < j < k, in lexicographic order, are
+    read in slices of block // rows.  A slice is (I, J, A, B): the range of
+    the C(n, 2) pairs (I, J), I < J, in row-major order that its triples
+    use, and for each triple the slice-local ids A of (i, j) and B of
+    (i, k) in that range.
 
     Pair (i, j) precedes n - 1 - j triples, k = j + 1 .. n - 1, and the
-    pairs of one i are consecutive, so (i, k) is pair (i, j) plus k - j."""
+    pairs of one i are consecutive, so (i, k) is pair (i, j) plus k - j,
+    and a slice's range runs from its first (i, j) to its largest (i, k):
+    fewer than its triples plus n pairs."""
     pi, pj = np.triu_indices(n, 1)
     runs = n - 1 - pj
     ta = np.repeat(np.arange(pi.size), runs)
     tb = ta + 1
     tb += np.arange(ta.size) - np.repeat(np.cumsum(runs) - runs, runs)
-    return pi, pj, ta, tb
+    rows = max(isqrt(block), block // (pi.size + ta.size))
+    step = max(1, block // rows)
+    slices = []
+    for s in range(0, ta.size, step):
+        a, b = ta[s : s + step], tb[s : s + step]
+        lo, hi = int(a[0]), int(b.max()) + 1
+        slices.append((pi[lo:hi], pj[lo:hi], a - lo, b - lo))
+    return rows, tuple(slices)
 
 
 def _min_triple_exhaustive(xs, ys) -> tuple[int, int, int, object]:
@@ -449,42 +464,42 @@ def min_twice_area_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ``_window_scan`` row by row from ``_WINDOW_MIN_N`` points on, below it
     every triple of a chunk of rows in one pass.
 
-    The pass takes each pair's differences, then the cross of every
-    triple (i, j, k) from the differences of its pairs (i, j) and (i, k)
-    (``_triple_table``), with the operands and order of
-    ``_min_triple_exhaustive``.  xs and ys share one dtype, float64 or
-    int64; the pass trusts the module docstring's range without a check,
-    which per block would cost time on small rows.
-    A chunk holds ``_BLOCK_ELEMENTS // C(n, 3)`` rows, or one row whose
-    triples are read in slices of ``_BLOCK_ELEMENTS``, so each temporary
-    stays near ``_BLOCK_ELEMENTS`` elements."""
+    The pass lays a chunk out trials-last, (n, rows), so each gather
+    copies a whole run of rows.  Per triple slice of ``_triple_table`` it
+    takes the differences of the slice's pairs, then the cross of each
+    triple (i, j, k) from the differences of its pairs (i, j) and (i, k),
+    with the operands and order of ``_min_triple_exhaustive``.  xs and ys
+    share one dtype, float64 or int64; the pass trusts the module
+    docstring's range without a check, which per block would cost time on
+    small rows.  A chunk holds max(sqrt(B), B // (C(n, 2) + C(n, 3)))
+    rows and a slice B // rows triples, B = ``_BLOCK_ELEMENTS``, so no
+    temporary grows much past one block at any n."""
     if xs.shape[1] < 3:
         raise ValueError("need at least 3 points for a triangle")
     if xs.dtype != ys.dtype:
         raise ValueError("xs and ys must share one dtype")
     if xs.shape[1] >= _WINDOW_MIN_N:
         return np.array([_window_scan(x, y)[3] for x, y in zip(xs, ys)], dtype=xs.dtype)
-    pi, pj, ta, tb = _triple_table(xs.shape[1])
-    step = max(1, _BLOCK_ELEMENTS // ta.size)
-    xs = np.ascontiguousarray(xs)  # gathers from strided views are slower
-    ys = np.ascontiguousarray(ys)
+    rows, slices = _triple_table(xs.shape[1], _BLOCK_ELEMENTS)
     out = np.empty(xs.shape[0], dtype=xs.dtype)
-    for r in range(0, xs.shape[0], step):
-        x, y = xs[r : r + step], ys[r : r + step]
-        dx = x.take(pj, axis=1) - x.take(pi, axis=1)
-        dy = y.take(pj, axis=1) - y.take(pi, axis=1)
+    for r in range(0, xs.shape[0], rows):
+        x = np.ascontiguousarray(xs[r : r + rows].T)
+        y = np.ascontiguousarray(ys[r : r + rows].T)
         best = None
-        for s in range(0, ta.size, _BLOCK_ELEMENTS):
-            a, b = ta[s : s + _BLOCK_ELEMENTS], tb[s : s + _BLOCK_ELEMENTS]
-            cross = dx.take(a, axis=1)
-            cross *= dy.take(b, axis=1)
-            t = dy.take(a, axis=1)
-            t *= dx.take(b, axis=1)
+        for pi, pj, a, b in slices:
+            dx = x.take(pj, axis=0)
+            dx -= x.take(pi, axis=0)
+            dy = y.take(pj, axis=0)
+            dy -= y.take(pi, axis=0)
+            cross = dx.take(a, axis=0)
+            cross *= dy.take(b, axis=0)
+            t = dy.take(a, axis=0)
+            t *= dx.take(b, axis=0)
             cross -= t
             np.abs(cross, out=cross)
-            row_min = cross.min(axis=1)
+            row_min = cross.min(axis=0)
             best = row_min if best is None else np.minimum(best, row_min, out=best)
-        out[r : r + step] = best
+        out[r : r + rows] = best
     return out
 
 

@@ -9,9 +9,11 @@ Trials run in blocks: one ``uniform_block`` call draws the points of a
 block of consecutive trials, about ``_BLOCK_ELEMENTS`` uniforms, and one
 ``min_twice_area_rows`` call keeps each row's minimum (below
 ``geometry._WINDOW_MIN_N`` points every triple of a chunk of rows in one
-pass, the kernel sizing its own chunks; from there on the windowed scan
-one row at a time).  Since every trial is its own row, no result depends
-on the block or chunk size.  A run keeps its areas in one
+pass, the kernel sizing its own chunks of max(sqrt(B), B // (C(n, 2) +
+C(n, 3))) rows and their triple slices of B // rows, B =
+``_BLOCK_ELEMENTS``; from there on the windowed scan one row at a time).
+Since every trial is its own row, no result depends on the block, chunk
+or slice size.  A run keeps its areas in one
 float64 array, 8 bytes a trial.
 
 A grid trial is its sorted cell ids y*K + x, and a block of them one

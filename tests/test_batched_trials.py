@@ -6,14 +6,15 @@ arrangement, across block boundaries, block sizes and worker counts."""
 
 import tracemalloc
 import warnings
-from math import comb, fsum
+from math import comb, fsum, isqrt
 
 import numpy as np
 import pytest
 
-from heilbronn import montecarlo
+from heilbronn import geometry, montecarlo
 from heilbronn.geometry import (
     _BLOCK_ELEMENTS,
+    MAX_GRID_SIDE,
     _min_triple_exhaustive,
     _triple_table,
     min_area_triangle,
@@ -103,23 +104,36 @@ def _pivot_rows(xs, ys):
 
 
 def _chunk_rows(n):
-    return max(1, _BLOCK_ELEMENTS // comb(n, 3))
+    return max(isqrt(_BLOCK_ELEMENTS), _BLOCK_ELEMENTS // (comb(n, 2) + comb(n, 3)))
+
+
+def _grid_rows(K, n, seed, rows):
+    ys, xs = np.divmod(montecarlo._grid_cell_block(K, n, seed, 0, rows), K)
+    return xs, ys
 
 
 class TestTriplePass:
     """The all-triples pass of ``min_twice_area_rows`` below the window
-    crossover, across its row chunks and, from n = 48 on, where C(n, 3)
-    passes ``_BLOCK_ELEMENTS``, its triple slices."""
+    crossover, across its row chunks and, from n = 11 on, where C(n, 3)
+    passes a chunk's slice of ``_BLOCK_ELEMENTS // 128`` triples, its
+    triple slices."""
 
-    NS = [3, 4, 8, 16, 46, 47, 48, 59]
+    NS = [3, 4, 8, 10, 11, 16, 46, 47, 48, 59]
 
     @staticmethod
     def _row_counts(n):
         c = _chunk_rows(n)
         return sorted({1, c - 1, c + 1, 2 * c + 3})
 
-    def test_slices_start_at_n_48(self):
-        assert comb(47, 3) <= _BLOCK_ELEMENTS < comb(48, 3)
+    def test_slices_start_at_n_11(self):
+        # a chunk of c rows reads slices of B // c triples: one slice up to
+        # n = 10, where c is 136 (n = 9) or 128, and more from n = 11 on
+        for n in range(3, 60):
+            rows, slices = _triple_table(n, _BLOCK_ELEMENTS)
+            assert rows == _chunk_rows(n)
+            assert (len(slices) > 1) == (n >= 11)
+        assert [_chunk_rows(n) for n in (3, 8, 9, 10, 11)] == [4096, 195, 136, 128, 128]
+        assert comb(10, 3) <= _BLOCK_ELEMENTS // 128 < comb(11, 3)
 
     @pytest.mark.parametrize("n", NS)
     def test_float_rows_match_both_references(self, n):
@@ -132,10 +146,10 @@ class TestTriplePass:
             if B:
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in _pivot_rows(xs, ys).tolist()]
 
-    @pytest.mark.parametrize("n, K", [(3, 3), (4, 3), (8, 4), (16, 6), (47, 9), (48, 9), (59, 10)])
+    @pytest.mark.parametrize("n, K", [(3, 3), (4, 3), (8, 4), (11, 5), (16, 6), (47, 9), (48, 9), (59, 10)])
     def test_heavy_tie_grid_rows_match_both_references(self, n, K):
         for B in self._row_counts(n):
-            ys, xs = np.divmod(montecarlo._grid_cell_block(K, n, 13, 0, B), K)
+            xs, ys = _grid_rows(K, n, 13, B)
             got = min_twice_area_rows(xs, ys)
             assert got.dtype == np.int64
             want = _exhaustive_rows(xs, ys, int)
@@ -149,6 +163,34 @@ class TestTriplePass:
         xs = np.arange(24, dtype=np.int64).reshape(2, 12)
         with pytest.raises(ValueError, match="one dtype"):
             min_twice_area_rows(xs, xs * 0.5)
+
+    def test_largest_grid_side_rows_match_exhaustive(self):
+        # int64 rows at K = 2^30, the top of the pass's trusted range, with
+        # the four corners planted in every other row: differences reach
+        # K - 1 and a cross nears 2 (K - 1)^2 < 2^61
+        K = MAX_GRID_SIDE
+        corners = [[0, K - 1, 0, K - 1], [0, 0, K - 1, K - 1]]
+        for n, rows in ((8, 40), (16, 20), (48, 6)):
+            xs, ys = _grid_rows(K, n, derive_seed(41, n), rows)
+            xs[::2, :4], ys[::2, :4] = corners
+            got = min_twice_area_rows(xs, ys)
+            assert got.dtype == np.int64
+            assert got.tolist() == _exhaustive_rows(xs, ys, int)
+
+    @pytest.mark.parametrize("elements", [1, 50, 999])
+    def test_block_size_moves_no_bit(self, monkeypatch, elements):
+        # chunks and slices never enter a result: one row and one triple
+        # per slice at 1 element, uneven chunks and slices at 50 and 999
+        rows = {}
+        for n in (3, 8, 13):
+            u = uniform_block(derive_seed(43, n), 0, 37, 2 * n)
+            rows[n] = ((u[:, 0::2], u[:, 1::2], float), (*_grid_rows(6, n, 43, 37), int))
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+        for n, cases in rows.items():
+            for xs, ys, cast in cases:
+                got = min_twice_area_rows(xs, ys)
+                want = _exhaustive_rows(xs, ys, cast)
+                assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
 
     @pytest.mark.parametrize("n", [8, 16, 48])
     def test_zero_minimum_is_positive_zero(self, n):
@@ -165,7 +207,7 @@ class TestTriplePass:
         ref = _min_triple_exhaustive(xs[0].tolist(), ys[0].tolist())
         assert ref[:3] == (0, 1, 2) and ref[3].hex() == "-0x0.0p+0"
 
-    @pytest.mark.parametrize("n, B", [(16, 512), (59, 8)])
+    @pytest.mark.parametrize("n, B", [(16, 512), (59, 8)] + [(n, _block_trials(n)) for n in (3, 5, 8)])
     def test_temporaries_stay_near_the_block(self, n, B):
         u = uniform_block(5, 0, B, 2 * n)
         xs, ys = u[:, 0::2], u[:, 1::2]
@@ -177,19 +219,27 @@ class TestTriplePass:
         finally:
             tracemalloc.stop()
         # about three float64 blocks live at once (the cross, the second
-        # product, one gather) and the chunk's pair differences; one pass
-        # over all 512 rows, or one row's triples unsliced, would not fit
+        # product, one gather) with the chunk's coordinates and the slice's
+        # pair differences; one pass over all 512 rows, or one row's
+        # triples unsliced, would not fit
         assert peak < 5 * 8 * _BLOCK_ELEMENTS
 
     def test_triple_table_pairs_and_size(self):
-        for n in (3, 4, 7):
-            pi, pj, ta, tb = _triple_table(n)
-            triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
-            pairs = list(zip(pi.tolist(), pj.tolist()))
-            assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
-            assert [(pairs[a], pairs[b]) for a, b in zip(ta.tolist(), tb.tolist())] == [
-                ((i, j), (i, k)) for i, j, k in triples]
-        assert sum(a.nbytes for a in _triple_table(59)) < 1 << 20
+        # every triple, in lexicographic order, rebuilt from its slice's
+        # pair range and local ids, at one slice (n = 7, 10) and at many
+        for n in (3, 4, 7, 10, 11, 16, 21):
+            rows, slices = _triple_table(n, _BLOCK_ELEMENTS)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            rebuilt = []
+            for pi, pj, ta, tb in slices:
+                local = list(zip(pi.tolist(), pj.tolist()))
+                assert pairs[pairs.index(local[0]) :][: len(local)] == local
+                assert len(local) < ta.size + n and ta.size <= _BLOCK_ELEMENTS // rows
+                rebuilt += [(local[a], local[b]) for a, b in zip(ta.tolist(), tb.tolist())]
+            assert rebuilt == [((i, j), (i, k)) for i in range(n) for j in range(i + 1, n)
+                               for k in range(j + 1, n)]
+        slices = _triple_table(59, _BLOCK_ELEMENTS)[1]
+        assert sum(a.nbytes for s in slices for a in s) < 1 << 20
 
 
 def _per_trial(n, trials, seed):

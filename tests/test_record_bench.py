@@ -96,6 +96,51 @@ def test_summarize_flags_a_median_worse_than_the_bound_higher(change_ok, regress
     assert record_bench.summarize(runs, END_TO_END)["regressed"] == regressed
 
 
+def test_summarize_reports_the_relative_median_move():
+    runs = {"parent": [result(10.0, setup_s=0.2), result(12.0, setup_s=0.4)],
+            "change": [result(8.0, setup_s=0.3), result(8.0, setup_s=0.3)]}
+    move = record_bench.summarize(runs, END_TO_END)["move"]
+    assert move == pytest.approx({"op_cost": -0.2727, "setup_s": 0.0, "peak_rss_mb": 0.0, "ok_rate": 0.0},
+                                 abs=1e-4)  # 8 / 11 - 1; 0.3 / 0.3 - 1
+
+
+def _fake_runs(op_cost):
+    def run_once(root, workload, seed, seconds):
+        return {"machine": {"cpus": 2}, "errors": []}, result(op_cost[root.name])
+    return run_once
+
+
+def test_main_shows_the_aa_move_of_a_workload_the_noise_record_covers(monkeypatch, tmp_path, capsys):
+    # a fixed A/A record covering mc_small_n only: op_cost 0.034 -> 0.0341
+    # (+0.294 %), setup_s 0.20 -> 0.19 (-5 %), the rest unmoved
+    roots = {side: tmp_path / side for side in record_bench.SIDES}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    medians = {"parent": (0.034, 0.20), "change": (0.0341, 0.19)}
+    noise = {"workloads": {"mc_small_n": {"summary": {side: {
+        name: {"median": v, "q1": v, "q3": v}
+        for name, v in zip(("op_cost", "setup_s", "peak_rss_mb", "ok_rate"), (*medians[side], 38.0, 1.0))}
+        for side in record_bench.SIDES}}}}
+    (roots["change"] / "BENCH_noise.json").write_text(json.dumps(noise))
+    monkeypatch.setattr(record_bench, "run_once", _fake_runs({"parent": 2.0, "change": 1.5}))
+    monkeypatch.setattr(record_bench, "code_id", lambda root: {"commit": root.name})
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                              "--out", str(out), "--workload", "mc_small_n", "--workload", "codec_collinear",
+                              "--seeds", "1,2"]) == 0
+    summaries = {w: v["summary"] for w, v in json.loads(out.read_text())["workloads"].items()}
+    for summary in summaries.values():
+        assert summary["move"] == {"op_cost": -0.25, "setup_s": 0.0, "peak_rss_mb": 0.0, "ok_rate": 0.0}
+    aa = summaries["mc_small_n"]["aa_move"]
+    assert aa["op_cost"] == pytest.approx(0.1 / 34) and aa["setup_s"] == pytest.approx(-0.05)
+    assert (aa["peak_rss_mb"], aa["ok_rate"]) == (0.0, 0.0)
+    assert "aa_move" not in summaries["codec_collinear"]
+    err = capsys.readouterr().err
+    assert "mc_small_n op_cost: move -25.0% (A/A +0.3%)" in err
+    assert "codec_collinear op_cost: move -25.0%\n" in err
+
+
 def test_main_keeps_the_first_three_errors_of_each_run(monkeypatch, tmp_path):
     errors = [f"op {i}: wrong" for i in range(5)]
 

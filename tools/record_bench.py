@@ -15,7 +15,11 @@ are sequential, so the two sides never share the machine.  The file holds
 the machine record of the first run, the code each side ran (see
 ``code_id``), the seeds, each run's metrics and first three error strings
 in seed order and, per workload, the summary of BENCHMARK.json's
-end-to-end metrics (see ``summarize``).
+end-to-end metrics (see ``summarize``).  For a workload that the change
+checkout's ``BENCH_noise.json`` covers (an A/A record: both sides one
+commit), the summary also holds ``aa_move``, that record's median moves,
+so each move reads next to the harness's own noise; this is informational
+and no verdict uses it.
 """
 
 from __future__ import annotations
@@ -43,11 +47,19 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
+def median_moves(summary: dict, names: list[str]) -> dict:
+    """Per metric, the change median relative to the parent median,
+    change / parent - 1, of a ``summarize`` result."""
+    return {name: summary["change"][name]["median"] / summary["parent"][name]["median"] - 1
+            for name in names}
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """Summary of {side: [result object, ...]}, the runs in seed order, for
     BENCHMARK.json's ``end_to_end`` metrics:
 
     * per side and metric, the median and quartiles;
+    * ``move``: per metric, the relative median move (``median_moves``);
     * ``change_better``: per metric, "k/N", the number k of the N pairs in
       which the change reads better in the metric's ``better`` direction
       (ties count for neither);
@@ -62,6 +74,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     values = {side: {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs[side]]
                      for m in end_to_end} for side in SIDES}
     out = {side: {name: quartiles(v) for name, v in values[side].items()} for side in SIDES}
+    out["move"] = median_moves(out, [m["name"] for m in end_to_end])
     out["change_better"] = {}
     out["unresolved"] = []
     out["regressed"] = []
@@ -124,6 +137,8 @@ def main(argv=None) -> int:
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    noise_path = roots["change"] / "BENCH_noise.json"
+    noise = json.loads(noise_path.read_text())["workloads"] if noise_path.exists() else {}
     seconds = spec["run_seconds"]
     metrics = [m["name"] for m in spec["end_to_end"]]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -141,8 +156,14 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: op_cost {result['metrics']['op_cost']['value']:.6g}"
                       f" correct {result['correct']}", file=sys.stderr)
             pair += 1
+        summary = summarize(runs, spec["end_to_end"])
+        if workload in noise:
+            summary["aa_move"] = median_moves(noise[workload]["summary"], metrics)
+        for m in metrics:
+            aa = f" (A/A {summary['aa_move'][m]:+.1%})" if "aa_move" in summary else ""
+            print(f"{workload} {m}: move {summary['move'][m]:+.1%}{aa}", file=sys.stderr)
         record["workloads"][workload] = {
-            "summary": summarize(runs, spec["end_to_end"]),
+            "summary": summary,
             "runs": {side: [{m: r["metrics"][m]["value"] for m in metrics}
                             | {"correct": r["correct"], "errors": r["errors"]}
                             for r in runs[side]] for side in SIDES},
