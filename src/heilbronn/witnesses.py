@@ -533,32 +533,59 @@ def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> It
     ceil((num S + T_min den) / (den S)) - 1, S = f.K - 1, clipped to [0, S].
     With num = a den + b and T_min = t1 S + t0, both b S and t0 den lie in
     [0, den S), so these are a - t1 + 1 - [b S < t0 den] and
-    a + t1 - 1 + [z > 0] + [z > den S], z = b S + t0 den: one small
-    ``divmod`` per line and row, the rest precomputed per line.
+    a + t1 - 1 + [z > 0] + [z > den S], z = b S + t0 den.
+
+    All (row, line) pairs go through one int64 pass: ``np.divmod`` of the
+    (rows x lines) num grid and the bounds above, then, with each window
+    shifted by i (S + 2), i the row's position in ``rows``, one sort of
+    lo, which orders the windows by (row, lo), and a running maximum of
+    hi, which merges overlapping and adjacent windows into runs; the shift
+    stops a run from bleeding into the next row.  The split keeps the pass
+    exact: for K <= MAX_GRID_SIDE and coordinates and rows in [0, K),
+    |num|, hence |a|, is below 2^61, and b S, t0 den, z and den S are
+    below 2^61, where num S could reach 2^91.  A grid side past
+    MAX_GRID_SIDE, a row or segment coordinate outside [0, K) or a
+    horizontal segment raises ``ValueError``.  Any nonnegative T_min is
+    exact: t1 is capped at 2^62, past which every window already covers
+    [0, S].
     """
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
-    S = f.K - 1
+    K = f.K
+    if not 2 <= K <= MAX_GRID_SIDE:
+        raise ValueError(f"grid side {K} is outside [2, {MAX_GRID_SIDE}]")
+    if not all(0 <= v < K for seg in f.segments for p in seg for v in p):
+        raise ValueError(f"a segment coordinate is outside [0, {K})")
+    if not all(0 <= row < K for row in rows):
+        raise ValueError(f"a row is outside [0, {K})")
+    forms = np.array([_line_form(seg) for seg in f.segments], dtype=np.int64).reshape(-1, 3)
+    c0, d, den = forms.T
+    if not (den > 0).all():
+        raise ValueError("a segment is horizontal")
+    S = K - 1
     t1, t0 = divmod(T_min, S)
-    lines = [(c0, d, den, t0 * den, den * S) for c0, d, den in map(_line_form, f.segments)]
-    for row in rows:
-        spans = []
-        for c0, d, den, t0den, q in lines:
-            a, b = divmod(c0 + row * d, den)
-            bS = b * S
-            z = bS + t0den
-            lo = max(0, a - t1 + 1 - (bS < t0den))
-            hi = min(S, a + t1 - 1 + (z > 0) + (z > q))
-            if lo <= hi:
-                spans.append((lo, hi))
-        spans.sort()
-        merged: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        yield merged
+    t1 = min(t1, 1 << 62)
+    a, b = np.divmod(c0 + np.array(rows, dtype=np.int64)[:, None] * d, den)
+    bS, t0den = b * S, t0 * den
+    z = bS + t0den
+    lo = np.maximum(a - t1 + 1 - (bS < t0den), 0)
+    hi = np.minimum(a + t1 - 1 + (z > 0) + (z > den * S), S)
+    keep = lo <= hi
+    i = np.nonzero(keep)[0]  # ascending, so the sort below leaves i in place
+    offset = i * (S + 2)
+    lo, hi = lo[keep] + offset, hi[keep] + offset
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    gap = lo[1:] > reach[:-1] + 1  # a run ends before each gap and starts after it
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = gap
+    last = np.ones(lo.size, dtype=bool)
+    last[:-1] = gap
+    runs = list(zip((lo - offset)[first].tolist(), (reach - offset)[last].tolist()))
+    ends = np.cumsum(np.bincount(i[first], minlength=len(rows))).tolist()
+    for start, end in zip([0, *ends], ends):
+        yield runs[start:end]
 
 
 def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int) -> set[int]:

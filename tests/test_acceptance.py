@@ -20,13 +20,13 @@ from heilbronn.montecarlo import (
 )
 from heilbronn.rng import derive_seed
 from heilbronn.witnesses import (
+    _exclusion_runs,
     count_forbidding_lines,
     decode_witness,
     encode_collinear_witness,
     encode_rowline_witness,
     encode_small_triangle_witness,
     encode_theorem2,
-    excluded_columns,
     find_collinear_triple,
     find_shared_row_pair,
     forbidding_lines,
@@ -223,8 +223,10 @@ class TestCriterion9Theorem2Machinery:
                 count_ok += 1
             f = forbidding_lines(a)
             t_min = int(min_area_triangle(a, mode="fast").twice_area)
-            for p in a.points:
-                if p.y <= f.split_row and p.x in excluded_columns(p.y, f, t_min):
+            # distinct rows: one pass over every row at or below the split
+            lower = [p for p in a.points if p.y <= f.split_row]
+            for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], f, t_min)):
+                if any(lo <= p.x <= hi for lo, hi in spans):
                     exclusion_violations += 1
             rep = encode_theorem2(a)
             if decode_witness("theorem2", rep.payload, K20, n) == a:

@@ -125,6 +125,14 @@ class TestTriplePass:
         c = _chunk_rows(n)
         return sorted({1, c - 1, c + 1, 2 * c + 3})
 
+    @staticmethod
+    def _exhaustive_checked(n, B):
+        # the rows the pure-Python reference recomputes, where _pivot_rows
+        # checks every row: the first, the last and both sides of each
+        # chunk boundary
+        c = _chunk_rows(n)
+        return sorted({0, B - 1} | {r for k in range(c, B, c) for r in (k - 1, k)})
+
     def test_slices_start_at_n_11(self):
         # a chunk of c rows reads slices of B // c triples: one slice up to
         # n = 10, where c is 136 (n = 9) or 128, and more from n = 11 on
@@ -142,9 +150,9 @@ class TestTriplePass:
             xs, ys = u[:, 0::2], u[:, 1::2]
             got = min_twice_area_rows(xs, ys)
             assert got.dtype == np.float64 and got.shape == (B,)
-            assert got.tolist() == _exhaustive_rows(xs, ys, float)
-            if B:
-                assert [v.hex() for v in got.tolist()] == [v.hex() for v in _pivot_rows(xs, ys).tolist()]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in _pivot_rows(xs, ys).tolist()]
+            rows = self._exhaustive_checked(n, B)
+            assert got[rows].tolist() == _exhaustive_rows(xs[rows], ys[rows], float)
 
     @pytest.mark.parametrize("n, K", [(3, 3), (4, 3), (8, 4), (11, 5), (16, 6), (47, 9), (48, 9), (59, 10)])
     def test_heavy_tie_grid_rows_match_both_references(self, n, K):
@@ -152,11 +160,10 @@ class TestTriplePass:
             xs, ys = _grid_rows(K, n, 13, B)
             got = min_twice_area_rows(xs, ys)
             assert got.dtype == np.int64
-            want = _exhaustive_rows(xs, ys, int)
-            assert got.tolist() == want
-            if B:
-                assert got.tolist() == _pivot_rows(xs, ys).tolist()
-        assert 0 in want  # the grid is small enough for collinear rows
+            assert got.tolist() == _pivot_rows(xs, ys).tolist()
+            rows = self._exhaustive_checked(n, B)
+            assert got[rows].tolist() == _exhaustive_rows(xs[rows], ys[rows], int)
+        assert 0 in got.tolist()  # the grid is small enough for collinear rows
 
     def test_mixed_dtypes_are_refused(self):
         # an int64 output would truncate float crosses of int64 x, float64 y

@@ -104,6 +104,22 @@ def test_summarize_reports_the_relative_median_move():
                                  abs=1e-4)  # 8 / 11 - 1; 0.3 / 0.3 - 1
 
 
+@pytest.mark.parametrize("change_costs, gain", [
+    # parent op_cost 10..19: median 14.5, IQR 16.75 - 12.25 = 4.5
+    ([v - 5.0 for v in range(10, 19)] + [20.0], ["op_cost"]),  # 9/10 better, gap 4.5 + 0.5
+    ([v - 5.0 for v in range(10, 18)] + [19.0, 20.0], []),  # 8/10 better
+    ([v - 4.5 for v in range(10, 20)], []),  # 10/10 better, gap 4.5 is not wider than the IQR
+])
+def test_summarize_lists_the_gains_that_meet_the_claim_rule(change_costs, gain):
+    # ok_rate is better higher: 1.0 against 0.5 in every pair, with no
+    # parent spread, is a gain in all ten pairs
+    runs = {"parent": [result(float(v), ok_rate=0.5) for v in range(10, 20)],
+            "change": [result(v) for v in change_costs]}
+    out = record_bench.summarize(runs, END_TO_END)
+    assert out["gain"] == gain + ["ok_rate"]
+    assert out["regressed"] == []
+
+
 def _fake_runs(op_cost):
     def run_once(root, workload, seed, seconds):
         return {"machine": {"cpus": 2}, "errors": []}, result(op_cost[root.name])

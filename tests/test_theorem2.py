@@ -448,7 +448,8 @@ class TestExclusionRuns:
         S = K - 1
         rows = [0, 1, 2, f.split_row - 1, f.split_row, f.split_row + 1, S - 1, S]
         rows += [rng.below(K) for _ in range(8)]
-        for T_min in (0, 1, S, S + 1, 1 + rng.below(S * S), S * S - 1, S * S):
+        # T_min from S << 62 on takes t1 at its cap of 2^62
+        for T_min in (0, 1, S, S + 1, 1 + rng.below(S * S), S * S - 1, S * S, S << 62, 2**100):
             want = [_reference_intervals(row, f, T_min) for row in rows]
             assert list(_exclusion_runs(rows, f, T_min)) == want
         assert list(_exclusion_runs(rows, f, S * S)) == [[(0, S)]] * len(rows)
@@ -458,3 +459,17 @@ class TestExclusionRuns:
         assert list(_exclusion_runs([0, 5, 31], f, 1000)) == [[], [], []]
         with pytest.raises(ValueError, match="nonnegative"):
             excluded_columns(0, f, -1)
+
+    @pytest.mark.parametrize("K, seg, rows, match", [
+        (64, ((3, 40), (5, 2)), [0, 64], "row is outside"),
+        (64, ((3, 40), (5, 2)), [-1, 5], "row is outside"),
+        (64, ((3, 64), (5, 2)), [5], "segment coordinate"),
+        (64, ((-1, 40), (5, 2)), [5], "segment coordinate"),
+        (64, ((3, 40), (5, 2**70)), [5], "segment coordinate"),
+        (64, ((3, 40), (5, 40)), [5], "horizontal"),
+        (MAX_GRID_SIDE + 1, ((3, 40), (5, 2)), [5], "grid side"),
+    ])
+    def test_inputs_past_the_int64_range_are_refused(self, K, seg, rows, match):
+        f = ForbiddingLineSet(K, 31, (), (seg,), 0, 0)
+        with pytest.raises(ValueError, match=match):
+            list(_exclusion_runs(rows, f, 1000))

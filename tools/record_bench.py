@@ -69,6 +69,10 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     * ``regressed``: the metrics whose change median is worse than the
       parent median, in the ``better`` direction, by more than ``bound``
       times the parent median, the rule that rejects a change;
+    * ``gain``: the metrics in which the change reads better in at least
+      nine tenths of the pairs and its median is better than the parent
+      median by more than the parent's quartile spread, the rule a claimed
+      gain must meet (informational: no verdict reads it);
     * ``all_correct``: whether every run checked its outputs correct.
     """
     values = {side: {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs[side]]
@@ -78,6 +82,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     out["change_better"] = {}
     out["unresolved"] = []
     out["regressed"] = []
+    out["gain"] = []
     for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
         pairs = list(zip(values["parent"][name], values["change"][name]))
@@ -89,6 +94,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         worse = change - parent["median"] if lower else parent["median"] - change
         if worse > m["bound"] * parent["median"]:
             out["regressed"].append(name)
+        if 10 * better >= 9 * len(pairs) and -worse > parent["q3"] - parent["q1"]:
+            out["gain"].append(name)
     out["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
     return out
 
