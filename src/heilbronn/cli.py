@@ -13,6 +13,7 @@ integers (arrangement ranks) are serialized as decimal strings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -181,14 +182,7 @@ def _saved(results, out, save, *objs):
 
 def _cmd_min_triangle(args):
     obj = load_points(args.file)
-    rep = min_area_triangle(obj, mode=args.mode)
-    return {
-        "i": rep.i,
-        "j": rep.j,
-        "k": rep.k,
-        "twice_area": rep.twice_area,
-        "area": rep.area,
-    }
+    return dataclasses.asdict(min_area_triangle(obj, mode=args.mode))
 
 
 def _cmd_sample(args):

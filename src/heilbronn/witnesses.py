@@ -453,11 +453,8 @@ def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
     this is re-verified exactly."""
     split = split_row(a)
     f = _claim_rect_pairs([(idx, p) for idx, p in enumerate(a.points) if p.y > split], a.K, split)
-    S = a.K - 1
-    for c0, d, den in map(_line_form, f.segments):
-        for row in (0, split):
-            if not 0 <= c0 + row * d <= S * den:
-                raise AssertionError("rectangle pair line failed the crossing check")
+    if not _crosses(_line_table(f, ()), split, a.K - 1).all():
+        raise AssertionError("rectangle pair line failed the crossing check")
     return f
 
 
@@ -467,32 +464,46 @@ def count_forbidding_lines(a: GridArrangement) -> int:
     dividing row) within the unit square.  This is the quantity the
     rectangle construction lower-bounds."""
     split = split_row(a)
-    up = [(p.x, p.y) for p in a.points if p.y > split]
-    m = len(up)
-    if m < 2:
-        return 0
-    arr = np.array(up, dtype=np.int64)
-    # rows ascend strictly, so with the later pebble first den > 0: the
-    # _line_form of each pair, |values| < 2^61 for K <= MAX_GRID_SIDE
-    ii, jj = np.triu_indices(m, 1)
-    x1, y1 = arr[jj, 0], arr[jj, 1]
-    x2, y2 = arr[ii, 0], arr[ii, 1]
+    up = np.array([(p.x, p.y) for p in a.points if p.y > split], dtype=np.int64).reshape(-1, 2)
+    ii, jj = np.triu_indices(len(up), 1)
+    # rows ascend strictly, so the later pebble first already gives den > 0
+    return int(np.count_nonzero(_crosses(_line_forms(up[jj], up[ii]), split, a.K - 1)))
+
+
+def _line_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c0, d, den), den > 0: the line through p[i] and q[i], rows of (m, 2)
+    int64 arrays, meets grid row y at column (c0[i] + y d[i]) / den[i],
+    exactly.  A horizontal segment raises ``ValueError``."""
+    (x1, y1), (x2, y2) = p.T, q.T
     c0, d, den = x2 * y1 - x1 * y2, x1 - x2, y1 - y2
-    S = a.K - 1
-
-    def crosses(row: int) -> np.ndarray:
-        num = c0 + row * d
-        return (num >= 0) & (num <= S * den)
-
-    return int(np.count_nonzero(crosses(0) & crosses(split)))
+    sign = np.sign(den)
+    if not sign.all():
+        raise ValueError("a segment is horizontal")
+    return c0 * sign, d * sign, den * sign
 
 
-def _line_form(seg: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, int, int]:
-    """(c0, d, den), den > 0: a segment's line meets grid row y at column
-    (c0 + y d) / den, exactly.  Requires a non-horizontal segment."""
-    (x1, y1), (x2, y2) = seg
-    c0, d, den = x2 * y1 - x1 * y2, x1 - x2, y1 - y2
-    return (-c0, -d, -den) if den < 0 else (c0, d, den)
+def _line_table(f: ForbiddingLineSet, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_line_forms`` of f's segments, once the grid side, every
+    segment coordinate and each of ``rows`` are known to keep them exact
+    in int64: for K <= MAX_GRID_SIDE and values in [0, K), |c0 + row d|
+    is below 2^61.  Anything else raises ``ValueError``."""
+    K = f.K
+    if not 2 <= K <= MAX_GRID_SIDE:
+        raise ValueError(f"grid side {K} is outside [2, {MAX_GRID_SIDE}]")
+    coords = [v for seg in f.segments for p in seg for v in p]
+    if not all(0 <= v < K for v in coords):
+        raise ValueError(f"a segment coordinate is outside [0, {K})")
+    if not all(0 <= row < K for row in rows):
+        raise ValueError(f"a row is outside [0, {K})")
+    ends = np.array(coords, dtype=np.int64).reshape(-1, 2, 2)
+    return _line_forms(ends[:, 0], ends[:, 1])
+
+
+def _crosses(forms: tuple[np.ndarray, np.ndarray, np.ndarray], split: int, S: int) -> np.ndarray:
+    """Whether each line of ``forms`` meets rows 0 and ``split`` inside [0, S]."""
+    c0, d, den = forms
+    num = c0 + np.array([[0], [split]], dtype=np.int64) * d
+    return ((num >= 0) & (num <= S * den)).all(axis=0)
 
 
 def intercept_spacings(
@@ -508,8 +519,9 @@ def intercept_spacings(
         raise ValueError(f"row {row} is not in the lower half (split {f.split_row})")
     if not f.segments:
         raise ValueError("forbidding line set is empty")
+    c0, d, den = _line_table(f, (row,))
     S = f.K - 1
-    xs = sorted(Fraction(c0 + row * d, den * S) for c0, d, den in map(_line_form, f.segments))
+    xs = sorted(Fraction(num, q * S) for num, q in zip((c0 + row * d).tolist(), den.tolist()))
     spacings = tuple(b - a for a, b in zip(xs, xs[1:]))
     window = None
     D = None
@@ -528,7 +540,7 @@ def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> It
     non-adjacent inclusive intervals [lo, hi], so the cost grows with the
     number of lines, not with K.
 
-    A line meeting the row at num / den, num = c0 + row d (``_line_form``),
+    A line meeting the row at num / den, num = c0 + row d (``_line_table``),
     excludes the columns from floor((num S - T_min den) / (den S)) + 1 to
     ceil((num S + T_min den) / (den S)) - 1, S = f.K - 1, clipped to [0, S].
     With num = a den + b and T_min = t1 S + t0, both b S and t0 den lie in
@@ -541,28 +553,16 @@ def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> It
     lo, which orders the windows by (row, lo), and a running maximum of
     hi, which merges overlapping and adjacent windows into runs; the shift
     stops a run from bleeding into the next row.  The split keeps the pass
-    exact: for K <= MAX_GRID_SIDE and coordinates and rows in [0, K),
-    |num|, hence |a|, is below 2^61, and b S, t0 den, z and den S are
-    below 2^61, where num S could reach 2^91.  A grid side past
-    MAX_GRID_SIDE, a row or segment coordinate outside [0, K) or a
-    horizontal segment raises ``ValueError``.  Any nonnegative T_min is
+    exact on every set ``_line_table`` admits (it raises ``ValueError`` on
+    the rest): |num|, hence |a|, is below 2^61, and so are b S, t0 den, z
+    and den S, where num S could reach 2^91.  Any nonnegative T_min is
     exact: t1 is capped at 2^62, past which every window already covers
     [0, S].
     """
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
-    K = f.K
-    if not 2 <= K <= MAX_GRID_SIDE:
-        raise ValueError(f"grid side {K} is outside [2, {MAX_GRID_SIDE}]")
-    if not all(0 <= v < K for seg in f.segments for p in seg for v in p):
-        raise ValueError(f"a segment coordinate is outside [0, {K})")
-    if not all(0 <= row < K for row in rows):
-        raise ValueError(f"a row is outside [0, {K})")
-    forms = np.array([_line_form(seg) for seg in f.segments], dtype=np.int64).reshape(-1, 3)
-    c0, d, den = forms.T
-    if not (den > 0).all():
-        raise ValueError("a segment is horizontal")
-    S = K - 1
+    c0, d, den = _line_table(f, rows)
+    S = f.K - 1
     t1, t0 = divmod(T_min, S)
     t1 = min(t1, 1 << 62)
     a, b = np.divmod(c0 + np.array(rows, dtype=np.int64)[:, None] * d, den)

@@ -1,13 +1,15 @@
-"""Shared helpers: seeded generators for random and planted arrangements."""
+"""Shared helpers: seeded generators for random and planted arrangements,
+and the report digests of the golden tests."""
 
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import os
 
 import pytest
 
-from heilbronn.geometry import GridArrangement, GridPoint
+from heilbronn.geometry import GridArrangement, GridPoint, min_area_triangle
 from heilbronn.rng import stream_rng
 
 
@@ -81,6 +83,19 @@ def planted_small_triangle(
     a = GridArrangement.from_points(K, pts)
     idx = tuple(sorted(a.points.index(GridPoint(x, y)) for x, y in planted))
     return a, idx
+
+
+def sha_lines(lines) -> str:
+    """SHA-256 hex digest of ``lines`` joined by newlines."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def report_line(points) -> str:
+    """``i,j,k,twice_area`` of ``min_area_triangle(mode="fast")``, the
+    twice-area as exact hex."""
+    r = min_area_triangle(points, mode="fast")
+    t = r.twice_area
+    return f"{r.i},{r.j},{r.k},{t.hex() if isinstance(t, float) else hex(t)}"
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ Regenerate the file with ``PYTHONPATH=src python tests/test_golden_rank.py``
 only when a change of the ranking order is intended.
 """
 
-import hashlib
 import json
 from math import comb
 from pathlib import Path
@@ -22,6 +21,8 @@ import pytest
 
 from heilbronn.coding import rank_combination, unrank_combination
 from heilbronn.rng import stream_rng
+
+from conftest import sha_lines
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "rank_golden.json"
 
@@ -65,7 +66,7 @@ def case_digest(m: int, k: int) -> str:
     lines = (
         f"{r:x}:{','.join(map(str, unrank_combination(r, k, m)))}" for r in golden_ranks(m, k)
     )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return sha_lines(lines)
 
 
 def golden_digest(m: int, k: int) -> str:

@@ -14,37 +14,26 @@ from pathlib import Path
 
 import pytest
 
-from heilbronn.geometry import min_area_triangle
 from heilbronn.montecarlo import sample_unit_square
 from heilbronn.witnesses import encode_collinear_witness, encode_small_triangle_witness
 
-from conftest import planted_collinear, planted_small_triangle, random_arrangement
+from conftest import planted_collinear, planted_small_triangle, random_arrangement, report_line, sha_lines
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "triangle_golden.json").read_text())
 
 K20 = 1 << 20
 
 
-def _report_line(points) -> str:
-    r = min_area_triangle(points, mode="fast")
-    t = r.twice_area
-    return f"{r.i},{r.j},{r.k},{t.hex() if isinstance(t, float) else hex(t)}"
-
-
-def _sha(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def continuous_digest() -> str:
     """sample_unit_square(n, 7, s) for n = 3..64, streams 0..4."""
-    return _sha(_report_line(sample_unit_square(n, 7, s)) for n in range(3, 65) for s in range(5))
+    return sha_lines(report_line(sample_unit_square(n, 7, s)) for n in range(3, 65) for s in range(5))
 
 
 def small_grid_digest() -> str:
     """random_arrangement(K, n, 5, s) for K = 3..8, n = 3..min(K^2, 20),
     streams 0..5: dense grids with many tied (often zero) minima."""
-    return _sha(
-        _report_line(random_arrangement(K, n, 5, s))
+    return sha_lines(
+        report_line(random_arrangement(K, n, 5, s))
         for K in range(3, 9)
         for n in range(3, min(K * K, 20) + 1)
         for s in range(6)
@@ -53,7 +42,7 @@ def small_grid_digest() -> str:
 
 def large_grid_digest() -> str:
     """random_arrangement(2^20, 200, 3, s) for streams 0..3."""
-    return _sha(_report_line(random_arrangement(K20, 200, 3, s)) for s in range(4))
+    return sha_lines(report_line(random_arrangement(K20, 200, 3, s)) for s in range(4))
 
 
 def _payload_sha(encode, a) -> str:

@@ -9,18 +9,17 @@ row minima of ``min_twice_area_rows`` on both sides of its crossover.
 Every digest must still match.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heilbronn.geometry import min_area_triangle, min_twice_area_rows
+from heilbronn.geometry import min_twice_area_rows
 from heilbronn.montecarlo import _grid_cell_block, sample_unit_square
 from heilbronn.rng import uniform_block
 
-from conftest import random_arrangement
+from conftest import random_arrangement, report_line, sha_lines
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "window_golden.json").read_text())
 
@@ -28,24 +27,14 @@ GRID_SIDES = (23, 40, 1000, 1 << 20, 1 << 30)
 ROW_NS = (48, 63, 64, 65, 96, 128, 200, 256)
 
 
-def _sha(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def _report_line(points) -> str:
-    r = min_area_triangle(points, mode="fast")
-    t = r.twice_area
-    return f"{r.i},{r.j},{r.k},{t.hex() if isinstance(t, float) else hex(t)}"
-
-
 def continuous_digest() -> str:
     """sample_unit_square(512, 10, s) for streams 0..2."""
-    return _sha(_report_line(sample_unit_square(512, 10, s)) for s in range(3))
+    return sha_lines(report_line(sample_unit_square(512, 10, s)) for s in range(3))
 
 
 def grid_digest() -> str:
     """random_arrangement(K, 512, 11, 0) for each K of GRID_SIDES."""
-    return _sha(_report_line(random_arrangement(K, 512, 11)) for K in GRID_SIDES)
+    return sha_lines(report_line(random_arrangement(K, 512, 11)) for K in GRID_SIDES)
 
 
 def float_rows_digest() -> str:
@@ -54,7 +43,7 @@ def float_rows_digest() -> str:
     for n in ROW_NS:
         u = uniform_block(12, 0, 3, 2 * n)
         lines += [v.hex() for v in min_twice_area_rows(u[:, 0::2], u[:, 1::2]).tolist()]
-    return _sha(lines)
+    return sha_lines(lines)
 
 
 def grid_rows_digest() -> str:
@@ -65,7 +54,7 @@ def grid_rows_digest() -> str:
         for n in ROW_NS:
             ys, xs = np.divmod(_grid_cell_block(K, n, 13, 0, 3), K)
             lines += [hex(v) for v in min_twice_area_rows(xs, ys).tolist()]
-    return _sha(lines)
+    return sha_lines(lines)
 
 
 DIGESTS = {

@@ -25,7 +25,7 @@ from heilbronn.geometry import GridArrangement, GridPoint
 from heilbronn.rng import stream_rng
 from heilbronn.witnesses import (
     ForbiddingLineSet,
-    _line_form,
+    _line_table,
     _triangle_candidate_index,
     _triangle_candidate_point,
     decode_witness,
@@ -173,15 +173,15 @@ class TestExcludedColumnsOracle:
                 segs.append(seg if rng.below(2) else seg[::-1])
             f = ForbiddingLineSet(K, 32, ((0, 1), (2, 3)), tuple(segs), 1, 2)
             row = rng.below(32)
+            xis = [Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2) for (x1, y1), (x2, y2) in segs]
+            c0, d, den = _line_table(f, (row,))
+            assert (den > 0).all() and [Fraction(v, q) for v, q in zip((c0 + row * d).tolist(), den.tolist())] == xis
             for T_min in (0, 1 + rng.below(120)):
                 got = excluded_columns(row, f, T_min)
                 # oracle: test every column against every line's exact intercept
                 radius = Fraction(T_min, K - 1)
                 want = set()
-                for (x1, y1), (x2, y2) in segs:
-                    xi = Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2)
-                    c0, d, den = _line_form(((x1, y1), (x2, y2)))
-                    assert den > 0 and Fraction(c0 + row * d, den) == xi
+                for xi in xis:
                     for c in range(K):
                         if abs(c - xi) < radius:
                             want.add(c)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -174,3 +175,55 @@ def test_main_keeps_the_first_three_errors_of_each_run(monkeypatch, tmp_path):
     assert [r["errors"] for r in runs["parent"]] == [errors[:3], []]
     assert [r["errors"] for r in runs["change"]] == [[], []]
     assert [r["correct"] for r in runs["parent"]] == [False, True]
+
+
+def test_main_asks_for_a_recheck_of_a_gain_below_a_tenth_of_a_kiter(monkeypatch, tmp_path, capsys):
+    # both workloads gain in op_cost in 2/2 pairs with no parent spread;
+    # only the one whose parent median is below 0.1 kiter gets a recheck
+    costs = {"mc_small_n": {"parent": 0.05, "change": 0.03}, "codec_collinear": {"parent": 2.0, "change": 1.5}}
+    roots = {side: tmp_path / side for side in record_bench.SIDES}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+
+    def run_once(root, workload, seed, seconds):
+        return {"machine": {"cpus": 2}, "errors": []}, result(costs[workload][root.name])
+
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    monkeypatch.setattr(record_bench, "code_id", lambda root: {"commit": root.name})
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                              "--out", str(out), "--workload", "mc_small_n", "--workload", "codec_collinear",
+                              "--seeds", "1,2"]) == 0
+    summaries = {w: v["summary"] for w, v in json.loads(out.read_text())["workloads"].items()}
+    assert summaries["mc_small_n"]["gain"] == summaries["codec_collinear"]["gain"] == ["op_cost"]
+    assert summaries["mc_small_n"]["recheck"] == ["op_cost"]
+    assert summaries["codec_collinear"]["recheck"] == []
+    err = capsys.readouterr().err
+    assert "mc_small_n: gain in op_cost at a parent op_cost below 0.1 kiter; recheck on fresh seeds" in err
+    assert "codec_collinear: gain" not in err
+
+
+def test_code_id_lists_the_blob_of_each_code_file(tmp_path):
+    # a committed file, its uncommitted edit, a new file and a file outside
+    # CODE_DIRS; the blob ids are git's hashes of the fixed contents
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    for path, text in {"src/a.py": "x = 1\n", "perfbench/b.py": "y = 2\n", "README": "z\n"}.items():
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "one")
+    (tmp_path / "src" / "a.py").write_text("x = 3\n")
+    (tmp_path / "src" / "c.py").write_text("new\n")
+    got = record_bench.code_id(tmp_path)
+    assert got["commit"] == git("rev-parse", "HEAD")
+    assert got["files"] == {
+        "perfbench/b.py": "47643d4d3045f1367c935992a05075ad588a70d8",
+        "src/a.py": "b95c23a4d31624aed5394c24e8189a128d2775d1",
+        "src/c.py": "3e757656cf36eca53338e520d134963a44f793f8",
+    }
+    assert git("status", "--porcelain") == "M src/a.py\n?? src/c.py"

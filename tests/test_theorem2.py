@@ -15,8 +15,9 @@ from heilbronn.witnesses import (
     ForbiddingLineSet,
     _LOG2_E,
     count_forbidding_lines,
+    _crosses,
     _exclusion_runs,
-    _line_form,
+    _line_table,
     _theorem2_widths,
     decode_witness,
     encode_theorem2,
@@ -108,8 +109,8 @@ class TestForbiddingLines:
         S = a.K - 1
 
         def inside(seg, row):
-            c0, d, den = _line_form(seg)
-            return 0 <= c0 + row * d <= S * den
+            (x1, y1), (x2, y2) = seg
+            return 0 <= Fraction(x2 * (y1 - y2) + (row - y2) * (x1 - x2), y1 - y2) <= S
 
         return sum(inside(seg, 0) and inside(seg, split) for seg in combinations(up, 2))
 
@@ -134,6 +135,14 @@ class TestForbiddingLines:
         assert count_forbidding_lines(corners) == self.reference_count(corners) > 0
         a = distinct_row_arrangement(K, 200, seed=54)
         assert count_forbidding_lines(a) == self.reference_count(a)
+
+    def test_crossing_rule_reads_both_rows(self):
+        # a line through an upper pebble that meets row 0 inside the square
+        # meets the split row inside too, so only lines ending below the
+        # split show the split half of the rule
+        segs = (((0, 0), (63, 20)), ((63, 0), (0, 20)), ((0, 40), (20, 30)), ((5, 40), (7, 2)))
+        f = ForbiddingLineSet(64, 31, (), segs, 0, 0)
+        assert _crosses(_line_table(f, ()), 31, 63).tolist() == [False, False, False, True]
 
     def test_definitional_count_at_least_certified(self):
         for t in range(10):
@@ -209,6 +218,17 @@ class TestInterceptSpacings:
         f = ForbiddingLineSet(101, 30, (), (), 0, 0)
         with pytest.raises(ValueError, match="empty"):
             intercept_spacings(f, 5)
+
+    @pytest.mark.parametrize("K, seg, row, match", [
+        (64, ((3, 40), (5, 40)), 5, "horizontal"),
+        (64, ((3, 400), (5, 2)), 5, "segment coordinate"),
+        (64, ((3, 40), (5, 2)), -5, "row is outside"),
+        (MAX_GRID_SIDE + 1, ((3, 40), (5, 2)), 5, "grid side"),
+    ])
+    def test_refuses_what_the_exclusions_refuse(self, K, seg, row, match):
+        f = ForbiddingLineSet(K, 31, (), (seg,), 0, 0)
+        with pytest.raises(ValueError, match=match):
+            intercept_spacings(f, row)
 
     def test_window_scaling_monte_carlo(self):
         # pilot-frozen: min over 500 trials of D * n^(3 - eps/5), eps = 0.5,

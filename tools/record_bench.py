@@ -19,7 +19,10 @@ end-to-end metrics (see ``summarize``).  For a workload that the change
 checkout's ``BENCH_noise.json`` covers (an A/A record: both sides one
 commit), the summary also holds ``aa_move``, that record's median moves,
 so each move reads next to the harness's own noise; this is informational
-and no verdict uses it.
+and no verdict uses it.  Likewise ``recheck`` lists a workload's ``gain``
+metrics when its parent ``op_cost`` median is below 0.1 kiter, where
+clones of identical code have met the gain rule, and a note on stderr asks
+for a recheck on fresh seeds.
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
 
 
 def code_id(root: Path) -> dict:
-    """HEAD's commit and the git tree id of each of CODE_DIRS as it stands
-    in the checkout, edits and new files included (ignored files are not).
+    """HEAD's commit, the git tree id of each of CODE_DIRS and, under
+    ``files``, the blob id of each file in them (``git ls-tree -r``), as
+    they stand in the checkout, edits and new files included (ignored files
+    are not), so two records show which modules differ.
 
     The trees are written through a throwaway index, so neither HEAD nor
     the checkout's index changes.  A tree id equals ``git rev-parse
@@ -118,7 +123,9 @@ def code_id(root: Path) -> dict:
         env = os.environ | {"GIT_INDEX_FILE": os.path.join(tmp, "index")}
         git("add", "--all", "--", *CODE_DIRS, env=env)
         tree = git("write-tree", env=env)
-    return {"commit": git("rev-parse", "HEAD")} | {d: git("rev-parse", f"{tree}:{d}") for d in CODE_DIRS}
+    blobs = (line.split(None, 3)[2:] for line in git("ls-tree", "-r", tree, "--", *CODE_DIRS).splitlines())
+    return ({"commit": git("rev-parse", "HEAD")} | {d: git("rev-parse", f"{tree}:{d}") for d in CODE_DIRS}
+            | {"files": {path: blob for blob, path in blobs}})
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -166,6 +173,11 @@ def main(argv=None) -> int:
         summary = summarize(runs, spec["end_to_end"])
         if workload in noise:
             summary["aa_move"] = median_moves(noise[workload]["summary"], metrics)
+        # below 0.1 kiter a gain is not yet a finding (degen_k20 in BENCH_pr30.json)
+        summary["recheck"] = summary["gain"] if summary["parent"]["op_cost"]["median"] < 0.1 else []
+        if summary["recheck"]:
+            print(f"{workload}: gain in {', '.join(summary['recheck'])} at a parent op_cost below"
+                  " 0.1 kiter; recheck on fresh seeds", file=sys.stderr)
         for m in metrics:
             aa = f" (A/A {summary['aa_move'][m]:+.1%})" if "aa_move" in summary else ""
             print(f"{workload} {m}: move {summary['move'][m]:+.1%}{aa}", file=sys.stderr)
