@@ -58,8 +58,8 @@ def erdos_prime(p: int) -> GridArrangement:
     of these points are collinear; every triangle then has twice-area >= 1.
     Note the construction's natural scale is the cell size 1/p (area bound
     1/(2p^2)), not the 1/(p-1) lattice normalization used elsewhere.
-    The no-collinear property is re-verified on every call by an exact
-    scan over all C(p, 3) triples.
+    The no-collinear property is re-verified on every call by the exact
+    window scan of ``min_area_triangle``, which evaluates only candidates.
     """
     return _erdos_checked(p)[0]
 

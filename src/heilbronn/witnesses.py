@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -416,12 +416,11 @@ def _decode_small_triangle(reader: BitReader, K: int, n: int) -> list[GridPoint]
 
 def split_row(a: GridArrangement) -> int:
     """Dividing grid row: the row of the (floor(n/2)+1)-th pebble from the
-    top, so exactly floor(n/2) pebbles lie strictly above it.  Requires all
-    pebbles on distinct rows."""
-    rows = sorted(a.rows(), reverse=True)
-    if len(set(rows)) != len(rows):
+    top, so the last floor(n/2) pebbles, ``a.points[(n + 1) // 2:]``, lie
+    strictly above it.  Requires all pebbles on distinct rows."""
+    if find_shared_row_pair(a) is not None:
         raise ValueError("pebbles must occupy distinct rows")
-    return rows[a.n // 2]
+    return a.points[(a.n - 1) // 2].y
 
 
 def _in_top_rect(x: int, y: int, S: int) -> bool:
@@ -452,7 +451,7 @@ def forbidding_lines(a: GridArrangement) -> ForbiddingLineSet:
     crosses the dividing row and the bottom side inside the unit square;
     this is re-verified exactly."""
     split = split_row(a)
-    f = _claim_rect_pairs([(idx, p) for idx, p in enumerate(a.points) if p.y > split], a.K, split)
+    f = _claim_rect_pairs(list(enumerate(a.points))[(a.n + 1) // 2 :], a.K, split)
     if not _crosses(_line_table(f, ()), split, a.K - 1).all():
         raise AssertionError("rectangle pair line failed the crossing check")
     return f
@@ -464,7 +463,7 @@ def count_forbidding_lines(a: GridArrangement) -> int:
     dividing row) within the unit square.  This is the quantity the
     rectangle construction lower-bounds."""
     split = split_row(a)
-    up = np.array([(p.x, p.y) for p in a.points if p.y > split], dtype=np.int64).reshape(-1, 2)
+    up = np.array([(p.x, p.y) for p in a.points[(a.n + 1) // 2 :]], dtype=np.int64).reshape(-1, 2)
     ii, jj = np.triu_indices(len(up), 1)
     # rows ascend strictly, so the later pebble first already gives den > 0
     return int(np.count_nonzero(_crosses(_line_forms(up[jj], up[ii]), split, a.K - 1)))
@@ -528,15 +527,15 @@ def intercept_spacings(
     B = None
     if len(xs) >= 6:
         best_i = min(range(len(xs) - 5), key=lambda i: xs[i + 5] - xs[i])
-        window = tuple(xs[best_i + t + 1] - xs[best_i + t] for t in range(5))
+        window = spacings[best_i : best_i + 5]
         D = xs[best_i + 5] - xs[best_i]
         if min_area is not None:
             B = min(4 * Fraction(min_area), D)
     return InterceptWindow(row, tuple(xs), spacings, window, D, B)
 
 
-def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> Iterator[list[tuple[int, int]]]:
-    """The excluded columns of each of ``rows`` in turn, as sorted, disjoint,
+def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> list[list[tuple[int, int]]]:
+    """A list of the excluded columns of each of ``rows``, as sorted, disjoint,
     non-adjacent inclusive intervals [lo, hi], so the cost grows with the
     number of lines, not with K.
 
@@ -584,14 +583,13 @@ def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> It
     last[:-1] = gap
     runs = list(zip((lo - offset)[first].tolist(), (reach - offset)[last].tolist()))
     ends = np.cumsum(np.bincount(i[first], minlength=len(rows))).tolist()
-    for start, end in zip([0, *ends], ends):
-        yield runs[start:end]
+    return [runs[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int) -> set[int]:
     """Grid columns of ``row`` strictly within distance 2A of any stored
     line's intercept, where A = T_min / (2(K-1)^2), K = f.K.  Exact integers."""
-    return {c for lo, hi in next(_exclusion_runs((row,), f, T_min)) for c in range(lo, hi + 1)}
+    return {c for lo, hi in _exclusion_runs((row,), f, T_min)[0] for c in range(lo, hi + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +622,9 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
 
     rows_bits = _combination_bits(a.rows(), K)  # distinct rows, ascending
 
-    by_row_desc = a.points[::-1]  # row-major, on distinct rows
-    upper = by_row_desc[: n // 2]
-    lower = by_row_desc[n // 2 :]
+    # row-major on distinct rows, so each half top down is a reversed slice
+    upper = a.points[: n // 2 - 1 : -1]
+    lower = a.points[n // 2 - 1 :: -1]
 
     packed = sum(p.x << col_w * i for i, p in enumerate(reversed(upper)))
     upper_bits = BitString.from_int(packed, col_w * len(upper))
@@ -655,7 +653,7 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
 
 
 def _decode_theorem2(reader: BitReader, K: int, n: int) -> list[GridPoint]:
-    if n % 2 or n < 2:
+    if n % 2:
         raise DecodeError("theorem-2 witness requires an even number (>= 2) of pebbles")
     header_w, col_w = _theorem2_widths(K)
     T_min = reader.read_uint(header_w)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heilbronn import constructions
+from heilbronn.cli import run
 from heilbronn.constructions import (
     _DECAY,
     _INITIAL_STEP,
@@ -112,6 +114,32 @@ class TestOptimizer:
     def test_restarts_and_steps_validated(self, restarts, steps):
         with pytest.raises(ValueError, match="^restarts and steps must be positive$"):
             optimize_heilbronn(4, restarts=restarts, steps=steps, seed=0)
+
+    @staticmethod
+    def report_one_ulp_high(monkeypatch):
+        # every restart, the best one included, reports a value one ulp
+        # above the minimum of its own points
+        real = constructions._run_restart
+
+        def one_ulp_high(*args):
+            value, *rest = real(*args)
+            return (math.nextafter(value, 1), *rest)
+
+        monkeypatch.setattr(constructions, "_run_restart", one_ulp_high)
+
+    def test_post_hoc_check_refuses_an_unverified_value(self, monkeypatch):
+        self.report_one_ulp_high(monkeypatch)
+        with pytest.raises(AssertionError, match="post-hoc verification"):
+            optimize_heilbronn(5, restarts=2, steps=10, seed=1)
+
+    def test_post_hoc_check_failure_exits_2_without_traceback(self, monkeypatch, capsys):
+        monkeypatch.delenv("HEILBRONN_JOBS", raising=False)  # one worker, in this process
+        self.report_one_ulp_high(monkeypatch)
+        assert run(["optimize", "--n", "5", "--seed", "1", "--restarts", "2", "--steps", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal check failed:")
+        assert "Traceback" not in captured.err
 
 
 def rescan_steps(xs, ys, rng):

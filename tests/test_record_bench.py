@@ -227,3 +227,56 @@ def test_code_id_lists_the_blob_of_each_code_file(tmp_path):
         "src/c.py": "3e757656cf36eca53338e520d134963a44f793f8",
     }
     assert git("status", "--porcelain") == "M src/a.py\n?? src/c.py"
+
+
+def test_summarize_reports_each_sides_minimum():
+    # the lowest run per side and metric, whatever the pair it sits in
+    runs = {"parent": [result(20.0, setup_s=0.3), result(13.0, setup_s=0.25), result(19.0, setup_s=0.5)],
+            "change": [result(12.5, ok_rate=0.99), result(18.0), result(19.5)]}
+    out = record_bench.summarize(runs, END_TO_END)
+    assert out["min"] == {
+        "parent": {"op_cost": 13.0, "setup_s": 0.25, "peak_rss_mb": 38.0, "ok_rate": 1.0},
+        "change": {"op_cost": 12.5, "setup_s": 0.3, "peak_rss_mb": 38.0, "ok_rate": 0.99},
+    }
+
+
+def test_workload_modules_cover_every_workload():
+    root = _PATH.parents[1]
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(record_bench.WORKLOAD_MODULES) == sorted(names)
+    for modules in record_bench.WORKLOAD_MODULES.values():
+        assert modules and all((root / "src" / "heilbronn" / f"{m}.py").is_file() for m in modules)
+
+
+def test_main_asks_for_a_recheck_of_a_gain_on_unchanged_modules(monkeypatch, tmp_path, capsys):
+    # both workloads gain in op_cost in 2/2 pairs, both parent medians are
+    # above 0.1 kiter, and the two sides differ only in witnesses.py, which
+    # codec_theorem2 runs and mc_large_n does not
+    costs = {"mc_large_n": {"parent": 20.0, "change": 16.0}, "codec_theorem2": {"parent": 110.0, "change": 90.0}}
+    roots = {side: tmp_path / side for side in record_bench.SIDES}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    files = {f"src/heilbronn/{m}.py": f"{i:040x}" for i, m in
+             enumerate(("rng", "geometry", "montecarlo", "coding", "witnesses", "constructions", "cli"))}
+    code = {"parent": {"commit": "p", "files": files},
+            "change": {"commit": "c", "files": files | {"src/heilbronn/witnesses.py": "f" * 40}}}
+
+    def run_once(root, workload, seed, seconds):
+        return {"machine": {"cpus": 2}, "errors": []}, result(costs[workload][root.name] + seed)
+
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    monkeypatch.setattr(record_bench, "code_id", lambda root: code[root.name])
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                              "--out", str(out), "--workload", "mc_large_n", "--workload", "codec_theorem2",
+                              "--seeds", "1,2"]) == 0
+    summaries = {w: v["summary"] for w, v in json.loads(out.read_text())["workloads"].items()}
+    assert summaries["mc_large_n"]["gain"] == summaries["codec_theorem2"]["gain"] == ["op_cost"]
+    assert summaries["mc_large_n"]["recheck"] == ["op_cost"]
+    assert summaries["codec_theorem2"]["recheck"] == []
+    assert summaries["mc_large_n"]["min"]["parent"]["op_cost"] == 21.0
+    err = capsys.readouterr().err
+    assert "mc_large_n: gain in op_cost on unchanged modules; recheck on fresh seeds" in err
+    assert "codec_theorem2: gain" not in err
+    assert "mc_large_n op_cost: min parent 21, change 17\n" in err

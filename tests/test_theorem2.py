@@ -36,14 +36,38 @@ K20 = 1 << 20
 GOLDEN = json.loads((Path(__file__).parent / "data" / "theorem2_golden.json").read_text())
 
 
+SPLIT_NS = (1, 2, 3, 5, 41, 200, 201)
+
+
+def split_in_bottom_rect(n):
+    """K = 1001 (S = 1000): the split pebble on row 500, inside the bottom
+    rectangle; the n // 2 pebbles above it alternate between the bottom
+    and the top rectangle; the rest lie on rows 0, 1, ..."""
+    upper = [(401 + 37 * i % 200, 501 + i // 2 if i % 2 == 0 else 900 + i // 2) for i in range(n // 2)]
+    lower = [(37 * i % 1001, i) for i in range(n - n // 2 - 1)]
+    return GridArrangement.from_points(1001, [*lower, (450, 500), *upper])
+
+
 class TestSplitRow:
     def test_balanced_halves(self):
-        for t in range(20):
-            a = distinct_row_arrangement(K20, 200, seed=51, stream=t)
-            s = split_row(a)
-            above = sum(1 for p in a.points if p.y > s)
-            assert above == 100
-            assert any(p.y == s for p in a.points)
+        for n in SPLIT_NS:
+            for t in range(20 if n == 200 else 4):
+                a = distinct_row_arrangement(K20, n, seed=51, stream=t)
+                s = split_row(a)
+                assert sum(1 for p in a.points if p.y > s) == n // 2, n
+                assert sum(1 for p in a.points if p.y == s) == 1, n
+
+    @pytest.mark.parametrize("n", SPLIT_NS)
+    def test_forbidding_lines_read_the_upper_half(self, n):
+        # the split pebble lies in the bottom rectangle, so a half that
+        # took it in would count it and pair it with the top pebbles
+        a = split_in_bottom_rect(n)
+        assert split_row(a) == 500
+        upper = range((n + 1) // 2, n)
+        f = forbidding_lines(a)
+        assert (f.rect_top_count, f.rect_bottom_count) == (n // 2 // 2, n // 2 - n // 2 // 2)
+        assert all(i in upper and j in upper for i, j in f.lines)
+        assert count_forbidding_lines(a) == TestForbiddingLines.reference_count(a)
 
     def test_duplicate_rows_rejected(self):
         a = GridArrangement.from_points(8, [(0, 3), (5, 3), (1, 6), (2, 7)])
@@ -389,7 +413,7 @@ class TestExclusionIntervals:
                 f = ForbiddingLineSet(K, split, (), tuple(segs), 0, 0)
                 for row in range(split + 1):
                     for T_min in (0, 1, 1 + rng.below(2 * K), (K - 1) ** 2):
-                        spans = next(_exclusion_runs([row], f, T_min))
+                        spans = _exclusion_runs([row], f, T_min)[0]
                         want = _excluded_set_oracle(row, f, T_min)
                         assert excluded_columns(row, f, T_min) == want
                         assert {c for lo, hi in spans for c in range(lo, hi + 1)} == want

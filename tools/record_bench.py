@@ -20,9 +20,10 @@ checkout's ``BENCH_noise.json`` covers (an A/A record: both sides one
 commit), the summary also holds ``aa_move``, that record's median moves,
 so each move reads next to the harness's own noise; this is informational
 and no verdict uses it.  Likewise ``recheck`` lists a workload's ``gain``
-metrics when its parent ``op_cost`` median is below 0.1 kiter, where
-clones of identical code have met the gain rule, and a note on stderr asks
-for a recheck on fresh seeds.
+metrics when its parent ``op_cost`` median is below 0.1 kiter, or when no
+module its timed operation runs (``WORKLOAD_MODULES``) differs between the
+sides; clones of identical code have met the gain rule in both cases.  A
+note on stderr then asks for a recheck on fresh seeds.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ from statistics import median, quantiles
 SIDES = ("parent", "change")
 DEFAULT_SEEDS = tuple(range(801, 811))  # ten pairs, the fewest a gain can rest on
 CODE_DIRS = ("src", "perfbench")  # what perfbench/run.py executes
+# the src/heilbronn modules whose functions each workload's timed operation
+# calls, as a profiler saw them on one operation of each workload
+_MC = ("rng", "geometry", "montecarlo")
+_CODEC = ("geometry", "coding", "witnesses")
+WORKLOAD_MODULES = {
+    "mc_small_n": _MC, "mc_large_n": _MC, "degen_k20": _MC,
+    "codec_theorem2": _CODEC, "codec_collinear": _CODEC, "codec_rowline": _CODEC,
+    "codec_small_triangle": _CODEC, "constructions": (*_MC, "constructions"),
+}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -76,7 +86,10 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
       nine tenths of the pairs and its median is better than the parent
       median by more than the parent's quartile spread, the rule a claimed
       gain must meet (informational: no verdict reads it);
-    * ``all_correct``: whether every run checked its outputs correct.
+    * ``all_correct``: whether every run checked its outputs correct;
+    * ``min``: per side and metric, the lowest run, which a workload whose
+      processes run at two speeds shows better than the median
+      (informational).
     """
     values = {side: {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs[side]]
                      for m in end_to_end} for side in SIDES}
@@ -100,7 +113,17 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         if 10 * better >= 9 * len(pairs) and -worse > parent["q3"] - parent["q1"]:
             out["gain"].append(name)
     out["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
+    out["min"] = {side: {name: min(v) for name, v in values[side].items()} for side in SIDES}
     return out
+
+
+def same_modules(code: dict, workload: str) -> bool:
+    """Whether each of the workload's ``WORKLOAD_MODULES`` has one blob id
+    in both sides' ``code_id`` files (False for a workload not in the table
+    or a record without blob ids)."""
+    files = [code[side].get("files", {}) for side in SIDES]
+    paths = [f"src/heilbronn/{m}.py" for m in WORKLOAD_MODULES.get(workload, ())]
+    return bool(paths) and all(p in files[0] and files[0][p] == files[1].get(p) for p in paths)
 
 
 def code_id(root: Path) -> dict:
@@ -173,14 +196,22 @@ def main(argv=None) -> int:
         summary = summarize(runs, spec["end_to_end"])
         if workload in noise:
             summary["aa_move"] = median_moves(noise[workload]["summary"], metrics)
-        # below 0.1 kiter a gain is not yet a finding (degen_k20 in BENCH_pr30.json)
-        summary["recheck"] = summary["gain"] if summary["parent"]["op_cost"]["median"] < 0.1 else []
+        # below 0.1 kiter (degen_k20 in BENCH_pr30.json) or on unchanged
+        # code (mc_large_n in BENCH_pr31.json) a gain is not yet a finding
+        small = summary["parent"]["op_cost"]["median"] < 0.1
+        same = same_modules(record["code"], workload)
+        summary["recheck"] = summary["gain"] if small or same else []
         if summary["recheck"]:
-            print(f"{workload}: gain in {', '.join(summary['recheck'])} at a parent op_cost below"
-                  " 0.1 kiter; recheck on fresh seeds", file=sys.stderr)
+            why = " and ".join(text for text, hit in (("at a parent op_cost below 0.1 kiter", small),
+                                                      ("on unchanged modules", same)) if hit)
+            print(f"{workload}: gain in {', '.join(summary['recheck'])} {why}; recheck on fresh seeds",
+                  file=sys.stderr)
         for m in metrics:
             aa = f" (A/A {summary['aa_move'][m]:+.1%})" if "aa_move" in summary else ""
             print(f"{workload} {m}: move {summary['move'][m]:+.1%}{aa}", file=sys.stderr)
+        low = summary["min"]
+        print(f"{workload} op_cost: min parent {low['parent']['op_cost']:.6g}, change {low['change']['op_cost']:.6g}",
+              file=sys.stderr)
         record["workloads"][workload] = {
             "summary": summary,
             "runs": {side: [{m: r["metrics"][m]["value"] for m in metrics}
