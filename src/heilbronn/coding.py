@@ -149,6 +149,12 @@ class BitReader:
         self.pos = end + 1
         return n
 
+    def read_sd_natural(self) -> int:
+        """Consume one sd_prime(nat_to_string(m)) code word and return m,
+        raising what ``string_to_nat(sd_unprime(reader))`` raises."""
+        head = self._take(self.read_ones())
+        return int("1" + self._take(int("1" + head, 2) - 1), 2) - 1
+
     def expect_end(self):
         if self.pos != len(self._bits):
             raise DecodeError(f"{self.remaining} trailing bits at position {self.pos}")
@@ -177,9 +183,26 @@ def sd_unbar(reader: BitReader) -> BitString:
     return reader.read(reader.read_ones())
 
 
+def _sd_prime_text(x: str) -> str:
+    """sd_prime on the text of a bit string."""
+    n = bin(len(x) + 1)[3:]  # nat_to_string(len(x))
+    return "1" * len(n) + "0" + n + x
+
+
 def sd_prime(x: BitString) -> BitString:
     """Standard self-delimiting code: sd_bar of the encoded length, then x."""
-    return sd_bar(nat_to_string(len(x))) + x
+    return BitString._of(_sd_prime_text(x.bits))
+
+
+def sd_naturals(ms: Iterable[int]) -> BitString:
+    """The concatenation of sd_prime(nat_to_string(m)) over ``ms``, in one
+    string pass; ``BitReader.read_sd_natural`` reads one back."""
+    parts = []
+    for m in ms:
+        if m < 0:
+            raise ValueError("naturals only")
+        parts.append(_sd_prime_text(bin(m + 1)[3:]))
+    return BitString._of("".join(parts))
 
 
 def sd_unprime(reader: BitReader) -> BitString:
@@ -225,57 +248,69 @@ def unrank_combination(rank: int, k: int, m: int) -> tuple[int, ...]:
     "Algorithm 515", ACM TOMS 1977; Knuth, TAOCP 4A 7.2.1.3).  The walk
     compares falling factorials with V = u r! instead, so nothing divides
     by r!: an element's P = perm(x, r) leaves V = (V - P) / r for r - 1, and
-    P / x = perm(x - 1, r - 1) bounds the next element.  An element costs
-    one exact ``perm`` (see ``_perm_floor``), two where the float estimate
-    misses, and none where x lies within a few steps of the previous one.
+    P / x = perm(x - 1, r - 1) bounds the next element.
+
+    A float estimate t of x more than ``_STEPS`` from the previous element
+    costs one exact ``perm``, and D = V - perm(t, r) confirms it: t is x
+    when D >= 0 and perm(t + 1, r) > V, that is D (t + 1 - r) < perm(t, r) r,
+    and D // r is then the next V.  A miss goes on in ``_perm_floor``, at
+    most one more ``perm``; an element within ``_STEPS`` of the previous
+    one costs none.
     """
     total = perm(m, k)
     V = total - (rank + 1) * factorial(k)
     if rank < 0 or V < 0:
         raise ValueError(f"rank {rank} out of range for C({m}, {k})")
     out: list[int] = []
-    P, x = total * (m - k), m  # perm(x - 1, r) = P // x
+    P, x = total * (m - k), m  # perm(x, r + 1), so perm(x - 1, r) = P // x
     for r in range(k, 0, -1):
         if V == 0:
             # only perm(x, r) = 0, i.e. x < r, fits: x runs r - 1, r - 2, ..., 0
             out.extend(range(m - r, m))
             break
-        x, P = (x - 1, P // x) if P < (V + 1) * x else _perm_floor(V, r, P, x)
+        y, t = x, x - 1
+        if t - r > _STEPS:
+            # perm(t, r) ~ a^r exp(-r (r^2 - 1) / (24 a^2)), a = t - (r - 1) / 2;
+            # the clamp keeps exp finite past float range
+            a = exp(min(log(V) / r, 700.0))
+            t = int(a + (r * r - 1) / (24 * a) + (r - 1) / 2)
+        if abs(t - (y - 1)) > _STEPS:
+            x = min(max(t, r), y - 1)
+            P = perm(x, r)
+            D = V - P
+            if D < 0 or D * (x + 1 - r) >= P * r:
+                x, P = _perm_floor(V, r, y, x, P, True)
+                D = V - P
+        else:
+            x, P = _perm_floor(V, r, y, y - 1, P // y, False)
+            D = V - P
         out.append(m - 1 - x)
-        V = (V - P) // r
+        V = D // r
     return tuple(out)
 
 
-def _perm_floor(V: int, r: int, P: int, y: int) -> tuple[int, int]:
-    """Largest x < y - 1 with perm(x, r) <= V, and that perm(x, r); needs
-    perm(y - 1, r) = P // y > V >= r!, so x >= r.
+def _perm_floor(V: int, r: int, y: int, x: int, c: int, missed: bool) -> tuple[int, int]:
+    """Largest x < y with perm(x, r) <= V, and that perm(x, r), starting
+    from x and c = perm(x, r); needs perm(y, r) > V >= r!, so x >= r.
 
-    A float estimate of x more than ``_STEPS`` below y - 1 costs one exact
-    ``perm``; two products confirm it, or the exact ratio V / perm(x, r)
-    re-anchors it once more.  Exact ratio steps then find the boundary;
-    should ``_STEPS`` of them not reach it (the floats overflow past
-    m ~ 2^1000), a bisection of the bracket they leave does.
+    After a ``missed`` float estimate, the exact ratio V / c re-anchors x
+    once, at the cost of one ``perm``, and two products confirm it.  Exact
+    ratio steps perm(x +- 1, r), each one big-by-small multiply and exact
+    divide, then find the boundary; should ``_STEPS`` of them not reach it
+    (the floats overflow past m ~ 2^1000), a bisection of the bracket they
+    leave does.
     """
-    x, c = y - 1, None
-    if x - r > _STEPS:
-        # perm(x, r) ~ a^r exp(-r (r^2 - 1) / (24 a^2)), a = x - (r - 1) / 2;
-        # the clamp keeps exp finite past float range
-        a = exp(min(log(V) / r, 700.0))
-        t = int(a + (r * r - 1) / (24 * a) + (r - 1) / 2)
-        for _ in range(2):
-            if abs(t - x) <= _STEPS:
-                break
-            x = min(max(t, r), y - 2)
+    if missed:
+        # perm(t, r) / perm(x, r) ~ ((t - s) / (x - s))^r = V / perm(x, r), s = (r - 1) / 2
+        try:
+            t = x + round((x - (r - 1) / 2) * expm1(log1p((V - c) / c) / r))
+        except OverflowError:
+            t = x
+        if abs(t - x) > _STEPS:
+            x = min(max(t, r), y - 1)
             c = perm(x, r)
             if c <= V and c * (x + 1) > V * (x + 1 - r):  # perm(x + 1, r) > V
                 return x, c
-            # perm(t, r) / perm(x, r) ~ ((t - s) / (x - s))^r = V / perm(x, r), s = (r - 1) / 2
-            try:
-                t = x + round((x - (r - 1) / 2) * expm1(log1p((V - c) / c) / r))
-            except OverflowError:
-                break
-    if c is None:
-        c = P // y
     if c > V:
         for _ in range(_STEPS):
             c = c * (x - r) // x
@@ -289,7 +324,7 @@ def _perm_floor(V: int, r: int, P: int, y: int) -> tuple[int, int]:
             if nxt > V * (x + 1 - r):
                 return x, c
             x, c = x + 1, nxt // (x + 1 - r)
-        lo, up = x, y - 1
+        lo, up = x, y
     while up - lo > 1:
         mid = (lo + up) // 2
         if perm(mid, r) <= V:

@@ -30,11 +30,8 @@ from .coding import (
     _comb_bits,
     baseline_length,
     ceil_log2,
-    nat_to_string,
     rank_combination,
-    sd_prime,
-    sd_unprime,
-    string_to_nat,
+    sd_naturals,
     unrank_combination,
 )
 from .geometry import MAX_GRID_SIDE, GridArrangement, GridPoint, min_area_triangle
@@ -156,8 +153,11 @@ def _read_combination(reader: BitReader, k: int, m: int, what: str) -> tuple[int
 
 
 def _read_sub_arrangement(reader: BitReader, K: int, n: int) -> tuple[GridPoint, ...]:
+    """The n - 1 pebbles of a sub-arrangement field, in row-major order;
+    unranking keeps their cells strictly increasing within range(K^2), and
+    ``decode_witness`` validates the whole decoded set."""
     cells = _read_combination(reader, n - 1, K * K, "sub-arrangement")
-    return GridArrangement.from_cells(K, cells).points
+    return tuple(GridPoint(c % K, c // K) for c in cells)
 
 
 def _decoded_arrangement(K: int, pebbles: list[GridPoint]) -> GridArrangement:
@@ -393,7 +393,7 @@ def encode_small_triangle_witness(
     # indices of P and Q inside the sub-arrangement (R removed); p_idx < q_idx
     pair = (p_idx - (p_idx > r_idx), q_idx - (q_idx > r_idx))
     pair_bits = _combination_bits(pair, a.n - 1)
-    idx_bits = sd_prime(nat_to_string(index))
+    idx_bits = sd_naturals((index,))
 
     payload = sub_bits + pair_bits + idx_bits
     return WitnessReport("small_triangle", payload, baseline_length(a.K, a.n))
@@ -403,7 +403,7 @@ def _decode_small_triangle(reader: BitReader, K: int, n: int) -> list[GridPoint]
     sub = _read_sub_arrangement(reader, K, n)
     pi, qi = _read_combination(reader, 2, n - 1, "pair")
     P, Q = sub[pi], sub[qi]
-    index = string_to_nat(sd_unprime(reader))
+    index = reader.read_sd_natural()
     R = _triangle_candidate_point(P, Q, index)
     if not (0 <= R.x < K and 0 <= R.y < K):
         raise DecodeError(f"candidate {R} falls outside the grid")
@@ -534,10 +534,11 @@ def intercept_spacings(
     return InterceptWindow(row, tuple(xs), spacings, window, D, B)
 
 
-def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> list[list[tuple[int, int]]]:
-    """A list of the excluded columns of each of ``rows``, as sorted, disjoint,
-    non-adjacent inclusive intervals [lo, hi], so the cost grows with the
-    number of lines, not with K.
+def _exclusion_arrays(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> tuple[np.ndarray, ...]:
+    """The excluded columns of ``rows`` as merged runs, int64 arrays
+    (lo, hi, row): run j covers columns lo[j]..hi[j] of rows[row[j]], the
+    runs are sorted by (row, lo), and those of one row are disjoint and
+    non-adjacent, so the cost grows with the number of lines, not with K.
 
     A line meeting the row at num / den, num = c0 + row d (``_line_table``),
     excludes the columns from floor((num S - T_min den) / (den S)) + 1 to
@@ -581,9 +582,34 @@ def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> li
     first[1:] = gap
     last = np.ones(lo.size, dtype=bool)
     last[:-1] = gap
-    runs = list(zip((lo - offset)[first].tolist(), (reach - offset)[last].tolist()))
-    ends = np.cumsum(np.bincount(i[first], minlength=len(rows))).tolist()
+    return (lo - offset)[first], (reach - offset)[last], i[first]
+
+
+def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> list[list[tuple[int, int]]]:
+    """The list view of ``_exclusion_arrays``: for each of ``rows``, its
+    runs as inclusive (lo, hi) intervals."""
+    lo, hi, row = _exclusion_arrays(rows, f, T_min)
+    runs = list(zip(lo.tolist(), hi.tolist()))
+    ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
     return [runs[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _field_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> tuple[np.ndarray, ...]:
+    """The exclusions of ``rows`` on one line of len(rows) K cells, column
+    x of rows[i] at cell i K + x, K = f.K: int64 arrays (lo, hi, excl,
+    base), where run j covers cells lo[j]..hi[j], excl[j] counts the cells
+    of the runs before run j, and base[i] counts the allowed cells before
+    row i, so row i has base[i + 1] - base[i] allowed columns.  A cell's
+    rank among its row's allowed columns is its rank among the line's
+    allowed cells minus base[i], so one ``searchsorted`` maps every row.
+    With len(rows) <= K <= MAX_GRID_SIDE every cell is below 2^60."""
+    lo, hi, row = _exclusion_arrays(rows, f, T_min)
+    K = f.K
+    lo, hi = lo + row * K, hi + row * K
+    excl = np.zeros(lo.size + 1, dtype=np.int64)
+    np.cumsum(hi - lo + 1, out=excl[1:])
+    cut = np.arange(len(rows) + 1) * K
+    return lo, hi, excl, cut - excl[np.searchsorted(lo, cut)]
 
 
 def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int) -> set[int]:
@@ -633,20 +659,17 @@ def encode_theorem2(a: GridArrangement) -> WitnessReport:
     # decoder can rebuild them before reading any lower-half column
     flines = _claim_rect_pairs(list(enumerate(upper)), K, split)
 
-    codes = []
-    for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], flines, T_min)):
-        rank = p.x
-        for lo, hi in spans:
-            if lo > p.x:
-                break
-            if p.x <= hi:
-                raise ValueError(
-                    f"internal consistency failure: pebble column {p.x} on row {p.y} "
-                    "is inside its own excluded set"
-                )
-            rank -= hi - lo + 1
-        codes.append(sd_prime(nat_to_string(rank)))
-    lower_bits = BitString.join(codes)
+    lo, hi, excl, base = _field_runs([p.y for p in lower], flines, T_min)
+    cell = np.arange(len(lower)) * K + np.array([p.x for p in lower], dtype=np.int64)
+    j = np.searchsorted(lo, cell, side="right")  # the runs that start at or below each cell
+    inside = np.flatnonzero(np.searchsorted(hi, cell) < j)  # ... and one of them reaches it
+    if inside.size:
+        p = lower[inside[0]]
+        raise ValueError(
+            f"internal consistency failure: pebble column {p.x} on row {p.y} "
+            "is inside its own excluded set"
+        )
+    lower_bits = sd_naturals((cell - excl[j] - base[:-1]).tolist())
 
     payload = header + rows_bits + upper_bits + lower_bits
     return WitnessReport("theorem2", payload, baseline_length(K, n))
@@ -671,20 +694,19 @@ def _decode_theorem2(reader: BitReader, K: int, n: int) -> list[GridPoint]:
 
     flines = _claim_rect_pairs(list(enumerate(upper)), K, split)
 
-    pts = list(upper)
     lower_rows = rows_desc[n // 2 :]
-    for r, spans in zip(lower_rows, _exclusion_runs(lower_rows, flines, T_min)):
-        rank = string_to_nat(sd_unprime(reader))
-        allowed = K - sum(hi - lo + 1 for lo, hi in spans)
+    lo, _, excl, base = _field_runs(lower_rows, flines, T_min)
+    ranks = []
+    for allowed in np.diff(base).tolist():
+        rank = reader.read_sd_natural()
         if rank >= allowed:
             raise DecodeError(f"rank {rank} out of range for {allowed} allowed positions")
-        col = rank
-        for lo, hi in spans:  # skip every excluded column at or below col
-            if lo > col:
-                break
-            col += hi - lo + 1
-        pts.append(GridPoint(col, r))
-    return pts
+        ranks.append(rank)
+    # the allowed cell at line rank g lies past run j exactly when lo[j] - excl[j] <= g
+    g = base[:-1] + np.array(ranks, dtype=np.int64)
+    cell = g + excl[np.searchsorted(lo - excl[:-1], g, side="right")]
+    cols = cell - np.arange(len(lower_rows)) * K
+    return [*upper, *map(GridPoint, cols.tolist(), lower_rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from heilbronn.coding import (
     rank_arrangement,
     rank_combination,
     sd_bar,
+    sd_naturals,
     sd_prime,
     sd_prime_length,
     sd_unbar,
@@ -140,6 +141,80 @@ class TestSelfDelimiting:
         words.sort()
         for a, b in zip(words, words[1:]):
             assert not b.startswith(a)
+
+
+# 0, 1, 2, then 2^j - 2, 2^j - 1 and 2^j for j <= 70, and one 10^4-bit value
+SD_NATURALS = [0, 1, 2, *(v for j in range(1, 71) for v in ((1 << j) - 2, (1 << j) - 1, 1 << j)),
+               int("1" + "0110" * 2499 + "101", 2)]
+
+# the DecodeError of each proper prefix of the codes of 0, 5 and 300, as
+# string_to_nat(sd_unprime(reader)) read three times raised them before
+# the one-pass reader existed
+SD_PREFIX_ERRORS = {
+    0: "stream ends early: wanted 1 bits at position 0, only 0 remain",
+    1: "stream ends early: wanted 1 bits at position 1, only 0 remain",
+    2: "stream ends early: wanted 1 bits at position 2, only 0 remain",
+    3: "stream ends early: wanted 1 bits at position 3, only 0 remain",
+    4: "stream ends early: wanted 2 bits at position 4, only 0 remain",
+    5: "stream ends early: wanted 2 bits at position 4, only 1 remain",
+    6: "stream ends early: wanted 1 bits at position 6, only 0 remain",
+    7: "stream ends early: wanted 1 bits at position 7, only 0 remain",
+    8: "stream ends early: wanted 1 bits at position 8, only 0 remain",
+    9: "stream ends early: wanted 1 bits at position 9, only 0 remain",
+    10: "stream ends early: wanted 3 bits at position 10, only 0 remain",
+    11: "stream ends early: wanted 3 bits at position 10, only 1 remain",
+    12: "stream ends early: wanted 3 bits at position 10, only 2 remain",
+    **{cut: f"stream ends early: wanted 8 bits at position 13, only {cut - 13} remain" for cut in range(13, 21)},
+}
+
+
+def _decode_error(read, bits: BitString, count: int) -> str:
+    """The message of the DecodeError that reading ``count`` naturals with
+    ``read`` raises on ``bits``."""
+    reader = BitReader(bits)
+    with pytest.raises(DecodeError) as exc:
+        for _ in range(count):
+            read(reader)
+    return str(exc.value)
+
+
+def _read_by_parts(reader: BitReader) -> int:
+    return string_to_nat(sd_unprime(reader))
+
+
+class TestSelfDelimitingNaturals:
+    def test_writer_is_the_joined_codes(self):
+        want = BitString.join(sd_prime(nat_to_string(m)) for m in SD_NATURALS)
+        assert sd_naturals(SD_NATURALS) == want
+        assert sd_naturals(iter(SD_NATURALS)) == want
+        assert sd_naturals([]) == BitString()
+        for m in SD_NATURALS:
+            assert sd_naturals([m]) == sd_prime(nat_to_string(m))
+
+    def test_reader_inverts_the_writer(self):
+        reader = BitReader(sd_naturals(SD_NATURALS) + BitString("1"))
+        assert [reader.read_sd_natural() for _ in SD_NATURALS] == SD_NATURALS
+        assert reader.remaining == 1
+
+    def test_prefix_errors_match_the_recorded_messages(self):
+        code = sd_naturals([0, 5, 300])
+        assert code.bits == "010110111000100101101"
+        assert sorted(SD_PREFIX_ERRORS) == list(range(len(code)))
+        for cut, want in SD_PREFIX_ERRORS.items():
+            assert _decode_error(BitReader.read_sd_natural, code[:cut], 3) == want
+            assert _decode_error(_read_by_parts, code[:cut], 3) == want
+
+    def test_every_proper_prefix_fails_as_the_reader_by_parts(self):
+        # each natural after a 7, so that its code starts off position 0
+        for m in SD_NATURALS:
+            code = sd_naturals([7, m])
+            for cut in range(len(code)):
+                got = _decode_error(BitReader.read_sd_natural, code[:cut], 2)
+                assert got == _decode_error(_read_by_parts, code[:cut], 2), (m, cut)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="^naturals only$"):
+            sd_naturals([3, -1])
 
 
 class TestBitStringSerialization:

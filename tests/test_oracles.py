@@ -9,6 +9,7 @@ range(2^48)), the reference is the per-element bisection that ranking used
 before the combinadic walk.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -300,8 +301,18 @@ class TestCombinationRankOracle:
     @pytest.mark.parametrize("steps", [0, 1])
     def test_perm_floor_bisections_match_the_comb_walk(self, monkeypatch, steps):
         # with at most one ratio step, _perm_floor ends in its bisections:
-        # below the estimate with 0 steps, above it with 1
+        # below its start (perm(x, r) > V) with 0 steps, also above it with
+        # 1; the perm calls at a bisection midpoint show that they ran
         monkeypatch.setattr(coding, "_STEPS", steps)
+        midpoints = Counter()
+
+        def counted(x, r):
+            frame = sys._getframe(1)
+            if frame.f_code is coding._perm_floor.__code__ and frame.f_locals.get("mid") == x:
+                midpoints["below" if frame.f_locals["c"] > frame.f_locals["V"] else "above"] += 1
+            return perm(x, r)
+
+        monkeypatch.setattr(coding, "perm", counted)
         rng = Random(1107 + steps)
         for _ in range(100):
             m = rng.randrange(1, 2001)
@@ -316,6 +327,7 @@ class TestCombinationRankOracle:
             k = rng.randrange(1, 41)
             rank = rng.randrange(comb(m, k))
             assert rank_combination(unrank_combination(rank, k, m), m) == rank
+        assert midpoints["below"] > 0 and (steps == 0 or midpoints["above"] > 0), midpoints
 
     def test_errors_unchanged(self):
         with pytest.raises(ValueError, match=r"rank 6 out of range for C\(4, 2\)"):

@@ -280,3 +280,43 @@ def test_main_asks_for_a_recheck_of_a_gain_on_unchanged_modules(monkeypatch, tmp
     assert "mc_large_n: gain in op_cost on unchanged modules; recheck on fresh seeds" in err
     assert "codec_theorem2: gain" not in err
     assert "mc_large_n op_cost: min parent 21, change 17\n" in err
+
+
+def test_main_asks_for_a_recheck_of_a_slowdown_in_every_pair_on_unchanged_modules(monkeypatch, tmp_path, capsys):
+    # op_cost reads worse in 3/3 pairs on mc_small_n and codec_theorem2,
+    # and in 2/3 on mc_large_n; the sides differ only in witnesses.py, which
+    # codec_theorem2 runs and the Monte Carlo workloads do not
+    costs = {"mc_small_n": {"parent": 0.20, "change": 0.21}, "codec_theorem2": {"parent": 110.0, "change": 120.0},
+             "mc_large_n": {"parent": 20.0, "change": 21.0}}
+    roots = {side: tmp_path / side for side in record_bench.SIDES}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    files = {f"src/heilbronn/{m}.py": f"{i:040x}" for i, m in
+             enumerate(("rng", "geometry", "montecarlo", "coding", "witnesses", "constructions", "cli"))}
+    code = {"parent": {"commit": "p", "files": files},
+            "change": {"commit": "c", "files": files | {"src/heilbronn/witnesses.py": "f" * 40}}}
+
+    def run_once(root, workload, seed, seconds):
+        cost = costs[workload][root.name]
+        if workload == "mc_large_n" and seed == 2 and root.name == "change":
+            cost = 19.0
+        return {"machine": {"cpus": 2}, "errors": []}, result(cost)
+
+    monkeypatch.setattr(record_bench, "run_once", run_once)
+    monkeypatch.setattr(record_bench, "code_id", lambda root: code[root.name])
+    out = tmp_path / "bench.json"
+    assert record_bench.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                              "--out", str(out), "--workload", "mc_small_n", "--workload", "codec_theorem2",
+                              "--workload", "mc_large_n", "--seeds", "1,2,3"]) == 0
+    summaries = {w: v["summary"] for w, v in json.loads(out.read_text())["workloads"].items()}
+    assert {w: s["change_better"]["op_cost"] for w, s in summaries.items()} == {
+        "mc_small_n": "0/3", "codec_theorem2": "0/3", "mc_large_n": "1/3"}
+    assert all(s["gain"] == [] == s["regressed"] for s in summaries.values())
+    assert summaries["mc_small_n"]["recheck"] == ["op_cost"]
+    assert summaries["codec_theorem2"]["recheck"] == []
+    assert summaries["mc_large_n"]["recheck"] == []
+    err = capsys.readouterr().err
+    assert "mc_small_n: op_cost worse in 3/3 pairs on unchanged modules; recheck on fresh seeds\n" in err
+    assert "codec_theorem2: op_cost worse" not in err and "mc_large_n: op_cost worse" not in err
+    assert "gain in" not in err

@@ -3,17 +3,20 @@ import json
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heilbronn.coding import BitString, DecodeError
+from heilbronn import witnesses
+from heilbronn.coding import BitString, DecodeError, _comb_bits, nat_to_string, sd_prime
 from heilbronn.geometry import MAX_GRID_SIDE, GridArrangement, min_area_triangle
 from heilbronn.witnesses import (
     ForbiddingLineSet,
     _LOG2_E,
+    _claim_rect_pairs,
     count_forbidding_lines,
     _crosses,
     _exclusion_runs,
@@ -517,3 +520,166 @@ class TestExclusionRuns:
         f = ForbiddingLineSet(K, 31, (), (seg,), 0, 0)
         with pytest.raises(ValueError, match=match):
             list(_exclusion_runs(rows, f, 1000))
+
+
+def claim_heavy_arrangement(K, n, seed, diagonal=False):
+    """Distinct rows; the upper half split between the top and the bottom
+    Claim rectangle, so it holds (n/4)^2 forbidding lines for n divisible
+    by 4; the lower half on random rows below the bottom rectangle, or with
+    ``diagonal`` on rows 0, 1, ... at column = row, so that T_min = 0."""
+    rng = stream_rng(seed, K % 997)
+    S = K - 1
+    x_lo, x_hi = 2 * S // 5 + 1, 3 * S // 5  # the middle fifth (2/5, 3/5]
+    top = range(-(-9 * S // 10), K)  # [9/10, 1]
+    bottom = range(-(-S // 2), (6 * S - 1) // 10 + 1)  # [1/2, 3/5)
+
+    def rows(span, count):
+        out = set()
+        while len(out) < count:
+            out.add(span[rng.below(len(span))])
+        return out
+
+    up = n // 2
+    pts = [(x_lo + rng.below(x_hi - x_lo + 1), y) for y in rows(top, up // 2) | rows(bottom, up - up // 2)]
+    if diagonal:
+        pts += [(y, y) for y in range(n - up)]
+    else:
+        pts += [(rng.below(K), y) for y in rows(range(bottom.start), n - up)]
+    return GridArrangement.from_points(K, pts)
+
+
+def zero_line_arrangement(K, n, seed):
+    """Distinct rows, every upper pebble left of the middle fifth."""
+    a = distinct_row_arrangement(K, n, seed)
+    S = K - 1
+    return GridArrangement.from_points(K, [(p.x % (2 * S // 5 + 1) if i >= n // 2 else p.x, p.y)
+                                           for i, p in enumerate(a.points)])
+
+
+def _lower_field(a):
+    """(T_min, forbidding lines, lower pebbles top down, bits before the
+    lower field) of a's theorem-2 witness."""
+    K, n = a.K, a.n
+    T_min = int(min_area_triangle(a, mode="fast").twice_area)
+    upper = a.points[: n // 2 - 1 : -1]
+    f = _claim_rect_pairs(list(enumerate(upper)), K, split_row(a))
+    header_w, col_w = _theorem2_widths(K)
+    return T_min, f, a.points[n // 2 - 1 :: -1], header_w + _comb_bits(K, n) + col_w * (n // 2)
+
+
+def _ranks_by_runs(lower, f, T_min):
+    """Each lower pebble's rank by the loop over ``_exclusion_runs`` that
+    the encoder ran before the array pass."""
+    ranks = []
+    for p, spans in zip(lower, _exclusion_runs([p.y for p in lower], f, T_min)):
+        rank = p.x
+        for lo, hi in spans:
+            if lo > p.x:
+                break
+            if p.x <= hi:
+                raise ValueError(
+                    f"internal consistency failure: pebble column {p.x} on row {p.y} "
+                    "is inside its own excluded set"
+                )
+            rank -= hi - lo + 1
+        ranks.append(rank)
+    return ranks
+
+
+def _column_by_runs(rank, spans):
+    """The column of a rank by the decoder's loop before the array pass."""
+    col = rank
+    for lo, hi in spans:
+        if lo > col:
+            break
+        col += hi - lo + 1
+    return col
+
+
+ARRAY_PASS_CASES = [(kind, K, n) for K, n in ((64, 12), (K20, 200), (MAX_GRID_SIDE, 40))
+                    for kind in ("random", "claim_heavy", "zero_line", "zero_tmin")]
+
+
+def _array_pass_arrangements(kind, K, n):
+    """The arrangements of ``kind`` from seed 131 on whose T_min is
+    positive, or, for "zero_tmin", all of them."""
+    for seed in range(131, 231):
+        if kind == "random":
+            a = distinct_row_arrangement(K, n, seed)
+        elif kind == "zero_line":
+            a = zero_line_arrangement(K, n, seed)
+        else:
+            a = claim_heavy_arrangement(K, n, seed, diagonal=kind == "zero_tmin")
+        if kind == "zero_tmin" or min_area_triangle(a, mode="fast").twice_area > 0:
+            yield a
+
+
+class TestLowerFieldArrays:
+    @pytest.mark.parametrize("kind, K, n", ARRAY_PASS_CASES)
+    def test_ranks_and_columns_match_the_run_lists(self, kind, K, n):
+        excluded = 0
+        cases = list(islice(_array_pass_arrangements(kind, K, n), 3))
+        assert len(cases) == 3
+        for seed, a in enumerate(cases):
+            T_min, f, lower, fixed = _lower_field(a)
+            if kind == "claim_heavy":
+                assert len(f.lines) == (n // 4) ** 2
+            if kind == "zero_line":
+                assert not f.lines
+            assert (T_min == 0) == (kind == "zero_tmin")
+            # the encoder's lower ranks are the loop's
+            payload = encode_theorem2(a).payload
+            ranks = _ranks_by_runs(lower, f, T_min)
+            assert payload[fixed:] == BitString.join(sd_prime(nat_to_string(r)) for r in ranks)
+            assert decode_witness("theorem2", payload, K, n) == a
+            # the decoder maps every rank as the loop did: in each row the
+            # first and the last allowed rank, one at random, and the ranks
+            # of the allowed columns on either side of each run, in turn
+            # (at most 16 of them in a row with more)
+            runs = _exclusion_runs([p.y for p in lower], f, T_min)
+            allowed = [K - sum(hi - lo + 1 for lo, hi in spans) for spans in runs]
+            excluded += sum(K - c for c in allowed)
+            rng = stream_rng(seed, 7)
+            picks = []
+            for c, spans in zip(allowed, runs):
+                below = [lo - sum(h - l + 1 for l, h in spans[:k]) for k, (lo, _) in enumerate(spans)]
+                picks.append(sorted({0, c - 1, rng.below(c)} | {r for b in below for r in (b - 1, b) if 0 <= r < c}))
+            for pick in range(min(16, max(map(len, picks)))):
+                chosen = [ranks[(i + pick) % len(ranks)] for i, ranks in enumerate(picks)]
+                bits = payload[:fixed] + BitString.join(sd_prime(nat_to_string(r)) for r in chosen)
+                got = decode_witness("theorem2", bits, K, n).points[: n // 2][::-1]
+                assert [(p.x, p.y) for p in got] == [
+                    (_column_by_runs(r, spans), p.y) for r, spans, p in zip(chosen, runs, lower)]
+            # one rank past a row's allowed columns
+            i = len(lower) // 2
+            chosen = ranks[:i] + [allowed[i]] + ranks[i + 1 :]
+            bits = payload[:fixed] + BitString.join(sd_prime(nat_to_string(r)) for r in chosen)
+            want = rf"^rank {allowed[i]} out of range for {allowed[i]} allowed positions$"
+            with pytest.raises(DecodeError, match=want):
+                decode_witness("theorem2", bits, K, n)
+        if kind == "claim_heavy":
+            assert excluded > 0
+        elif kind != "random":
+            assert excluded == 0
+
+    @pytest.mark.parametrize("hits", [(3, 5, 8), (8,), (0, 9), (9,)])
+    def test_pebble_inside_its_own_exclusions_is_named(self, monkeypatch, hits):
+        # exclusions that cover the columns of the lower pebbles at ``hits``
+        # (top down), one run each: ending at, around and starting at the
+        # column; the error names the first of them from the top down
+        a = claim_heavy_arrangement(K20, 20, 140)
+        T_min, f, lower, _ = _lower_field(a)
+        shapes = ((-2, 0), (0, 0), (0, 3), (-1, 1))
+
+        def arrays(rows, f, T_min):
+            assert list(rows) == [p.y for p in lower]
+            spans = [(lower[i].x + shapes[k % 4][0], lower[i].x + shapes[k % 4][1], i) for k, i in enumerate(hits)]
+            return tuple(np.array(v, dtype=np.int64) for v in zip(*spans))
+
+        monkeypatch.setattr(witnesses, "_exclusion_arrays", arrays)
+        p = lower[hits[0]]
+        want = rf"^internal consistency failure: pebble column {p.x} on row {p.y} is inside its own excluded set$"
+        with pytest.raises(ValueError, match=want):
+            _ranks_by_runs(lower, f, T_min)
+        with pytest.raises(ValueError, match=want):
+            encode_theorem2(a)

@@ -235,6 +235,23 @@ class TestEncodeWitness:
         assert rep.kind == kind
         assert decode_witness(kind, rep.payload, a.K, a.n) == a
 
+    @pytest.mark.parametrize("kind", WITNESS_KINDS)
+    def test_decoding_validates_one_arrangement(self, monkeypatch, kind):
+        # the sub-arrangement field yields bare points: only the final
+        # decoded set is built, and checked, as a GridArrangement
+        a = ENCODERS[kind][1]()
+        payload = encode_witness(kind, a).payload
+        built = []
+        check = GridArrangement.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(GridArrangement, "__post_init__", counted)
+        assert decode_witness(kind, payload, a.K, a.n) == a
+        assert len(built) == 1
+
     def test_small_triangle_takes_a_triple(self):
         a, triple = planted_small_triangle(1024, 8, seed=65, T=3)
         rep = encode_witness("small_triangle", a, triple)

@@ -22,8 +22,10 @@ so each move reads next to the harness's own noise; this is informational
 and no verdict uses it.  Likewise ``recheck`` lists a workload's ``gain``
 metrics when its parent ``op_cost`` median is below 0.1 kiter, or when no
 module its timed operation runs (``WORKLOAD_MODULES``) differs between the
-sides; clones of identical code have met the gain rule in both cases.  A
-note on stderr then asks for a recheck on fresh seeds.
+sides; clones of identical code have met the gain rule in both cases.  On
+unchanged modules it also lists ``op_cost`` when the change reads worse in
+every pair, as clones of identical code have done too.  A note on stderr
+then asks for a recheck on fresh seeds.
 """
 
 from __future__ import annotations
@@ -197,14 +199,22 @@ def main(argv=None) -> int:
         if workload in noise:
             summary["aa_move"] = median_moves(noise[workload]["summary"], metrics)
         # below 0.1 kiter (degen_k20 in BENCH_pr30.json) or on unchanged
-        # code (mc_large_n in BENCH_pr31.json) a gain is not yet a finding
+        # code (mc_large_n in BENCH_pr31.json) a gain is not yet a finding,
+        # nor on unchanged code a slowdown in every pair (mc_small_n in
+        # BENCH_pr32.json)
         small = summary["parent"]["op_cost"]["median"] < 0.1
         same = same_modules(record["code"], workload)
-        summary["recheck"] = summary["gain"] if small or same else []
-        if summary["recheck"]:
+        gains = summary["gain"] if small or same else []
+        costs = ([r["metrics"]["op_cost"]["value"] for r in runs[side]] for side in SIDES)
+        slower = same and all(c > p for p, c in zip(*costs))
+        summary["recheck"] = gains + ["op_cost"] * slower
+        if gains:
             why = " and ".join(text for text, hit in (("at a parent op_cost below 0.1 kiter", small),
                                                       ("on unchanged modules", same)) if hit)
-            print(f"{workload}: gain in {', '.join(summary['recheck'])} {why}; recheck on fresh seeds",
+            print(f"{workload}: gain in {', '.join(gains)} {why}; recheck on fresh seeds", file=sys.stderr)
+        if slower:
+            pairs = len(args.seeds)
+            print(f"{workload}: op_cost worse in {pairs}/{pairs} pairs on unchanged modules; recheck on fresh seeds",
                   file=sys.stderr)
         for m in metrics:
             aa = f" (A/A {summary['aa_move'][m]:+.1%})" if "aa_move" in summary else ""
