@@ -150,8 +150,8 @@ class BitReader:
         return n
 
     def read_sd_natural(self) -> int:
-        """Consume one sd_prime(nat_to_string(m)) code word and return m,
-        raising what ``string_to_nat(sd_unprime(reader))`` raises."""
+        """Consume one sd_prime(nat_to_string(m)) code word and return m:
+        the sd_bar of nat_to_string(len), then the len payload bits."""
         head = self._take(self.read_ones())
         return int("1" + self._take(int("1" + head, 2) - 1), 2) - 1
 
@@ -206,8 +206,8 @@ def sd_naturals(ms: Iterable[int]) -> BitString:
 
 
 def sd_unprime(reader: BitReader) -> BitString:
-    n = string_to_nat(sd_unbar(reader))
-    return reader.read(n)
+    """Consume one sd_prime code word and return its payload."""
+    return nat_to_string(reader.read_sd_natural())
 
 
 def sd_prime_length(n: int) -> int:

@@ -417,7 +417,9 @@ def _decode_small_triangle(reader: BitReader, K: int, n: int) -> list[GridPoint]
 def split_row(a: GridArrangement) -> int:
     """Dividing grid row: the row of the (floor(n/2)+1)-th pebble from the
     top, so the last floor(n/2) pebbles, ``a.points[(n + 1) // 2:]``, lie
-    strictly above it.  Requires all pebbles on distinct rows."""
+    strictly above it.  Requires at least one pebble, all on distinct rows."""
+    if not a.points:
+        raise ValueError("the arrangement has no pebbles")
     if find_shared_row_pair(a) is not None:
         raise ValueError("pebbles must occupy distinct rows")
     return a.points[(a.n - 1) // 2].y
@@ -534,35 +536,43 @@ def intercept_spacings(
     return InterceptWindow(row, tuple(xs), spacings, window, D, B)
 
 
-def _exclusion_arrays(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> tuple[np.ndarray, ...]:
-    """The excluded columns of ``rows`` as merged runs, int64 arrays
-    (lo, hi, row): run j covers columns lo[j]..hi[j] of rows[row[j]], the
-    runs are sorted by (row, lo), and those of one row are disjoint and
-    non-adjacent, so the cost grows with the number of lines, not with K.
+def _field_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> tuple[np.ndarray, ...]:
+    """The excluded columns of ``rows`` on one line of len(rows) K cells,
+    column x of rows[i] at cell i K + x, K = f.K: int64 arrays (lo, hi,
+    excl, base), where run j covers cells lo[j]..hi[j] of row lo[j] // K,
+    the runs ascend and those of one row are disjoint and non-adjacent,
+    excl[j] counts the cells of the runs before run j, and base[i] counts
+    the allowed cells before row i, so row i has base[i + 1] - base[i]
+    allowed columns.  A cell's rank among its row's allowed columns is its
+    rank among the line's allowed cells minus base[i], so one
+    ``searchsorted`` maps every row.  The cost grows with the number of
+    lines, not with K.
 
     A line meeting the row at num / den, num = c0 + row d (``_line_table``),
     excludes the columns from floor((num S - T_min den) / (den S)) + 1 to
-    ceil((num S + T_min den) / (den S)) - 1, S = f.K - 1, clipped to [0, S].
+    ceil((num S + T_min den) / (den S)) - 1, S = K - 1, clipped to [0, S].
     With num = a den + b and T_min = t1 S + t0, both b S and t0 den lie in
     [0, den S), so these are a - t1 + 1 - [b S < t0 den] and
     a + t1 - 1 + [z > 0] + [z > den S], z = b S + t0 den.
 
     All (row, line) pairs go through one int64 pass: ``np.divmod`` of the
     (rows x lines) num grid and the bounds above, then, with each window
-    shifted by i (S + 2), i the row's position in ``rows``, one sort of
-    lo, which orders the windows by (row, lo), and a running maximum of
-    hi, which merges overlapping and adjacent windows into runs; the shift
-    stops a run from bleeding into the next row.  The split keeps the pass
-    exact on every set ``_line_table`` admits (it raises ``ValueError`` on
-    the rest): |num|, hence |a|, is below 2^61, and so are b S, t0 den, z
-    and den S, where num S could reach 2^91.  Any nonnegative T_min is
-    exact: t1 is capped at 2^62, past which every window already covers
-    [0, S].
+    shifted to its row's cells, one sort of lo, which orders the windows
+    by (row, lo), and a running maximum of hi, which merges overlapping
+    and adjacent windows into runs; a run also ends where the next window
+    lies in a later row, so no run crosses a row's end.  The split keeps
+    the pass exact on every set ``_line_table`` admits (it raises
+    ``ValueError`` on the rest): |num|, hence |a|, is below 2^61, and so
+    are b S, t0 den, z and den S, where num S could reach 2^91.  Any
+    nonnegative T_min is exact: t1 is capped at 2^62, past which every
+    window already covers [0, S].  With len(rows) <= K <= MAX_GRID_SIDE
+    every cell is below 2^60.
     """
     if T_min < 0:
         raise ValueError("T_min must be nonnegative")
     c0, d, den = _line_table(f, rows)
-    S = f.K - 1
+    K = f.K
+    S = K - 1
     t1, t0 = divmod(T_min, S)
     t1 = min(t1, 1 << 62)
     a, b = np.divmod(c0 + np.array(rows, dtype=np.int64)[:, None] * d, den)
@@ -571,45 +581,32 @@ def _exclusion_arrays(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> 
     lo = np.maximum(a - t1 + 1 - (bS < t0den), 0)
     hi = np.minimum(a + t1 - 1 + (z > 0) + (z > den * S), S)
     keep = lo <= hi
-    i = np.nonzero(keep)[0]  # ascending, so the sort below leaves i in place
-    offset = i * (S + 2)
+    offset = np.nonzero(keep)[0] * K  # each kept window's row position, times K
     lo, hi = lo[keep] + offset, hi[keep] + offset
     order = np.argsort(lo)
     lo, hi = lo[order], hi[order]
     reach = np.maximum.accumulate(hi)
-    gap = lo[1:] > reach[:-1] + 1  # a run ends before each gap and starts after it
+    # a run ends before each gap and where the next window is in a later row
+    end = (lo[1:] > reach[:-1] + 1) | (lo[1:] // K > reach[:-1] // K)
     first = np.ones(lo.size, dtype=bool)
-    first[1:] = gap
+    first[1:] = end
     last = np.ones(lo.size, dtype=bool)
-    last[:-1] = gap
-    return (lo - offset)[first], (reach - offset)[last], i[first]
-
-
-def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> list[list[tuple[int, int]]]:
-    """The list view of ``_exclusion_arrays``: for each of ``rows``, its
-    runs as inclusive (lo, hi) intervals."""
-    lo, hi, row = _exclusion_arrays(rows, f, T_min)
-    runs = list(zip(lo.tolist(), hi.tolist()))
-    ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
-    return [runs[start:end] for start, end in zip([0, *ends], ends)]
-
-
-def _field_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> tuple[np.ndarray, ...]:
-    """The exclusions of ``rows`` on one line of len(rows) K cells, column
-    x of rows[i] at cell i K + x, K = f.K: int64 arrays (lo, hi, excl,
-    base), where run j covers cells lo[j]..hi[j], excl[j] counts the cells
-    of the runs before run j, and base[i] counts the allowed cells before
-    row i, so row i has base[i + 1] - base[i] allowed columns.  A cell's
-    rank among its row's allowed columns is its rank among the line's
-    allowed cells minus base[i], so one ``searchsorted`` maps every row.
-    With len(rows) <= K <= MAX_GRID_SIDE every cell is below 2^60."""
-    lo, hi, row = _exclusion_arrays(rows, f, T_min)
-    K = f.K
-    lo, hi = lo + row * K, hi + row * K
+    last[:-1] = end
+    lo, hi = lo[first], reach[last]
     excl = np.zeros(lo.size + 1, dtype=np.int64)
     np.cumsum(hi - lo + 1, out=excl[1:])
     cut = np.arange(len(rows) + 1) * K
     return lo, hi, excl, cut - excl[np.searchsorted(lo, cut)]
+
+
+def _exclusion_runs(rows: Sequence[int], f: ForbiddingLineSet, T_min: int) -> list[list[tuple[int, int]]]:
+    """The list view of ``_field_runs``: for each of ``rows``, its runs as
+    inclusive (lo, hi) column intervals."""
+    lo, hi, _, _ = _field_runs(rows, f, T_min)
+    row, lo = np.divmod(lo, f.K)
+    runs = list(zip(lo.tolist(), (hi - row * f.K).tolist()))
+    ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
+    return [runs[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def excluded_columns(row: int, f: ForbiddingLineSet, T_min: int) -> set[int]:

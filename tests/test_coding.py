@@ -179,7 +179,9 @@ def _decode_error(read, bits: BitString, count: int) -> str:
 
 
 def _read_by_parts(reader: BitReader) -> int:
-    return string_to_nat(sd_unprime(reader))
+    # the two-step read that read_sd_natural must match: sd_unbar for the
+    # payload length, then the payload
+    return string_to_nat(reader.read(string_to_nat(sd_unbar(reader))))
 
 
 class TestSelfDelimitingNaturals:

@@ -298,6 +298,23 @@ class TestCombinationRankOracle:
             assert len(calls) <= 1 + 2 * k
             assert cells == unrank_by_bisection(rank, k, m)
 
+    @pytest.mark.parametrize("m,k", [(1 << 20, 200), (1 << 40, 199), (1 << 20, 40)])
+    def test_adjacent_elements_cost_no_perm(self, monkeypatch, m, k):
+        # the elements of ranks 0 and 1 are consecutive cells, each within
+        # _STEPS of the previous one: the ratio steps find them all, and
+        # perm(m, k) is the only exact falling factorial
+        calls = []
+
+        def counted(x, r):
+            calls.append((x, r))
+            return perm(x, r)
+
+        monkeypatch.setattr(coding, "perm", counted)
+        for rank, last in ((0, k - 1), (1, k)):
+            calls.clear()
+            assert unrank_combination(rank, k, m) == (*range(k - 1), last)
+            assert calls == [(m, k)]
+
     @pytest.mark.parametrize("steps", [0, 1])
     def test_perm_floor_bisections_match_the_comb_walk(self, monkeypatch, steps):
         # with at most one ratio step, _perm_floor ends in its bisections:

@@ -1,11 +1,16 @@
 """The summary of ``tools/record_bench.py`` on fixed input; no benchmark runs."""
 
+import cProfile
 import importlib.util
 import json
+import pstats
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import heilbronn
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
 _spec = importlib.util.spec_from_file_location("record_bench", _PATH)
@@ -246,6 +251,24 @@ def test_workload_modules_cover_every_workload():
     assert sorted(record_bench.WORKLOAD_MODULES) == sorted(names)
     for modules in record_bench.WORKLOAD_MODULES.values():
         assert modules and all((root / "src" / "heilbronn" / f"{m}.py").is_file() for m in modules)
+
+
+def test_workload_modules_match_a_profile_of_each_operation(monkeypatch):
+    # the src/heilbronn modules whose functions one operation of each tiny
+    # workload calls, as cProfile sees them
+    path = _PATH.parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    package = Path(heilbronn.__file__).parent
+    for name, w in workloads.make_workloads(tiny=True).items():
+        inp = w.make(workloads.DEFAULT_SEED, 0)
+        profile = cProfile.Profile()
+        profile.runcall(w.run, inp)
+        files = {Path(file) for file, _, _ in pstats.Stats(profile).stats}
+        modules = {f.stem for f in files if f.parent == package}
+        assert modules == set(record_bench.WORKLOAD_MODULES[name]), name
 
 
 def test_main_asks_for_a_recheck_of_a_gain_on_unchanged_modules(monkeypatch, tmp_path, capsys):

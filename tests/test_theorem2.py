@@ -77,6 +77,11 @@ class TestSplitRow:
         with pytest.raises(ValueError, match="distinct rows"):
             split_row(a)
 
+    @pytest.mark.parametrize("fn", [split_row, forbidding_lines, count_forbidding_lines])
+    def test_empty_arrangement_rejected(self, fn):
+        with pytest.raises(ValueError, match="^the arrangement has no pebbles$"):
+            fn(GridArrangement(8, ()))
+
 
 def one_per_rectangle_arrangement():
     """K = 101 (S = 100): one pebble in each Claim-style rectangle, one on
@@ -507,6 +512,25 @@ class TestExclusionRuns:
         with pytest.raises(ValueError, match="nonnegative"):
             excluded_columns(0, f, -1)
 
+    @pytest.mark.parametrize("f, rows, T_min", [
+        *((_corner_lines(K, stream_rng(111, K % 1000)), None, T_min)
+          for K in (K20, MAX_GRID_SIDE - 7, MAX_GRID_SIDE) for T_min in (0, 1, K - 1, K, (K - 1) ** 2)),
+        # a run ends at column 63 of row 1 and the next starts at column 0
+        # of row 2: adjacent cells, two runs
+        *((ForbiddingLineSet(64, 2, (), (((63, 1), (0, 2)),), 0, 0), [1, 2], T_min) for T_min in (63, 189)),
+    ])
+    def test_field_runs_count_each_rows_cells(self, f, rows, T_min):
+        K = f.K
+        if rows is None:
+            rows = [0, 1, f.split_row - 1, f.split_row, K - 2, K - 1]
+        lo, hi, excl, base = witnesses._field_runs(rows, f, T_min)
+        want = [[(lo_ + i * K, hi_ + i * K) for lo_, hi_ in _reference_intervals(row, f, T_min)]
+                for i, row in enumerate(rows)]
+        assert list(zip(lo.tolist(), hi.tolist())) == [run for runs in want for run in runs]
+        assert excl.tolist() == [sum(h - l + 1 for l, h in zip(lo[:j], hi[:j])) for j in range(lo.size + 1)]
+        assert base[0] == 0 and len(base) == len(rows) + 1
+        assert np.diff(base).tolist() == [K - sum(h - l + 1 for l, h in runs) for runs in want]
+
     @pytest.mark.parametrize("K, seg, rows, match", [
         (64, ((3, 40), (5, 2)), [0, 64], "row is outside"),
         (64, ((3, 40), (5, 2)), [-1, 5], "row is outside"),
@@ -671,12 +695,17 @@ class TestLowerFieldArrays:
         T_min, f, lower, _ = _lower_field(a)
         shapes = ((-2, 0), (0, 0), (0, 3), (-1, 1))
 
-        def arrays(rows, f, T_min):
+        def runs(rows, f, T_min):
+            # the same runs as lower-field cells, column x of row i at i K + x
             assert list(rows) == [p.y for p in lower]
-            spans = [(lower[i].x + shapes[k % 4][0], lower[i].x + shapes[k % 4][1], i) for k, i in enumerate(hits)]
-            return tuple(np.array(v, dtype=np.int64) for v in zip(*spans))
+            spans = [(i * f.K + lower[i].x + shapes[k % 4][0], i * f.K + lower[i].x + shapes[k % 4][1])
+                     for k, i in enumerate(hits)]
+            lo, hi = (np.array(v, dtype=np.int64) for v in zip(*spans))
+            excl = np.concatenate(([0], np.cumsum(hi - lo + 1)))
+            cut = np.arange(len(rows) + 1) * f.K
+            return lo, hi, excl, cut - excl[np.searchsorted(lo, cut)]
 
-        monkeypatch.setattr(witnesses, "_exclusion_arrays", arrays)
+        monkeypatch.setattr(witnesses, "_field_runs", runs)
         p = lower[hits[0]]
         want = rf"^internal consistency failure: pebble column {p.x} on row {p.y} is inside its own excluded set$"
         with pytest.raises(ValueError, match=want):
